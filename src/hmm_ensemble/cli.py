@@ -22,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import ensemble as ens
 from . import mlp as mlp_mod
-from .config import MlpSettings, config_hash, load_run_config, resolved_config_text
+from .config import RunConfig, config_hash, load_run_config, resolved_config_text
 from .diversity import similarity_matrix
 from .errors import DataError, NumericError, ParameterError
 from .hmm import sample
@@ -60,14 +60,22 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
-    """Returns the model and whatever provenance block the file carries."""
+    """Returns the model and whatever provenance block the file carries.
+
+    Any file that does not parse into a valid model is a data error.
+    """
     with open(_require_file(path), encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid model JSON ({exc})") from None
-    return ens.EnsembleModel.from_dict(payload), payload.get("provenance", {})
+            payload = json.load(fh, parse_constant=_reject_constant)
+            model = ens.EnsembleModel.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: invalid model ({type(exc).__name__}: {exc})") from None
+    return model, payload.get("provenance", {})
 
 
 def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
@@ -97,22 +105,26 @@ def _out_dir(args) -> Path:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg.master_seed = args.seed
-    if not cfg.train_csv:
+        cfg.sections["ensemble"]["master_seed"] = args.seed
+    data_cfg = cfg.data
+    if not data_cfg.train_csv:
         raise DataError("config has no [data] train_csv")
     dataset = data_mod.load_csv(
-        _require_file(cfg.train_csv), cfg.sequence_column, cfg.label_column
+        _require_file(data_cfg.train_csv), data_cfg.sequence_column, data_cfg.label_column
     )
-    if cfg.imbalance_ratio and cfg.imbalance_ratio > 0:
-        dataset = data_mod.subsample_imbalance(dataset, cfg.imbalance_ratio, cfg.imbalance_seed)
+    if data_cfg.imbalance_ratio > 0:
+        dataset = data_mod.subsample_imbalance(
+            dataset, data_cfg.imbalance_ratio, data_cfg.imbalance_seed
+        )
     resolved = resolved_config_text(cfg)
     cfg_hash = config_hash(resolved)
-    model = ens.train_ensemble(dataset, cfg.ensemble_config(), _resolve_workers(args.threads))
+    ens_cfg = cfg.ensemble_config()
+    model = ens.train_ensemble(dataset, ens_cfg, _resolve_workers(args.threads))
     out = _out_dir(args)
     payload = model.to_dict()
     payload["provenance"] = {
         "config_hash": cfg_hash,
-        "master_seed": cfg.master_seed,
+        "master_seed": ens_cfg.master_seed,
         "dataset": dataset.provenance.to_dict(),
     }
     _write_json(out / "model.json", payload)
@@ -120,12 +132,12 @@ def cmd_train(args) -> int:
         out / "histories.json",
         {
             "config_hash": cfg_hash,
-            "master_seed": cfg.master_seed,
+            "master_seed": ens_cfg.master_seed,
             "histories": model.histories,
         },
     )
     with open(out / "config.resolved.txt", "w", encoding="utf-8") as fh:
-        for line in _provenance_lines(cfg_hash, cfg.master_seed):
+        for line in _provenance_lines(cfg_hash, ens_cfg.master_seed):
             fh.write(line + "\n")
         fh.write(resolved)
     print(f"trained {len(model.models)} models -> {out / 'model.json'}")
@@ -168,18 +180,10 @@ def cmd_evaluate(args) -> int:
         seed = args.seed
     if not 0.0 < args.calibration_fraction < 1.0:
         raise ParameterError("--calibration-fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    calib_idx, eval_idx = [], []
-    for label in (0, 1):
-        class_idx = np.flatnonzero(labels == label)
-        n_cal = max(1, int(np.floor(class_idx.size * args.calibration_fraction + 0.5)))
-        if n_cal >= class_idx.size:
-            raise DataError(f"class {label} too small for calibration split")
-        perm = rng.permutation(class_idx)
-        calib_idx.extend(perm[:n_cal])
-        eval_idx.extend(perm[n_cal:])
-    calib_idx = np.sort(np.array(calib_idx))
-    eval_idx = np.sort(np.array(eval_idx))
+    try:
+        calib_idx, eval_idx = data_mod.split_indices(labels, args.calibration_fraction, seed)
+    except ParameterError as exc:  # the fraction is valid, so a class is too small
+        raise DataError(f"{args.data}: calibration split: {exc}") from None
     all_scores = np.array(ens.score_corpus(model, sequences), dtype=np.float64)
     threshold = ens.choose_threshold(all_scores[calib_idx], labels[calib_idx])
     report = EvalReport.from_scores(labels[eval_idx], all_scores[eval_idx], threshold)
@@ -235,15 +239,17 @@ def cmd_generate(args) -> int:
     if args.count < 1 or args.length < 1:
         raise ParameterError("--count and --length must be >= 1")
     members = model.positive_models if args.label == 1 else model.negative_models
-    rng = np.random.default_rng(args.seed)
+    cfg_hash, seed = _model_hash_seed(model)
+    if args.seed is not None:
+        seed = args.seed
+    rng = np.random.default_rng(seed)
     rows = []
     for i in range(args.count):
         member = members[int(rng.integers(len(members)))]
         seq = sample(member, args.length, rng)
         rows.append([model.vocabulary.decode(seq), args.label])
-    cfg_hash, _ = _model_hash_seed(model)
     out = _out_dir(args)
-    _write_csv(out / "generated.csv", ["sequence", "label"], rows, cfg_hash, args.seed)
+    _write_csv(out / "generated.csv", ["sequence", "label"], rows, cfg_hash, seed)
     print(f"generated {args.count} sequences -> {out / 'generated.csv'}")
     return 0
 
@@ -269,49 +275,25 @@ def _read_feature_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _read_label_csv(path: str) -> np.ndarray:
-    with open(_require_file(path), encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = [h.strip() for h in next(reader)]
-        if "label" not in header:
-            raise DataError(f"{path}: missing column 'label'")
-        col = header.index("label")
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            raw = row[col].strip()
-            if raw not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {raw!r}")
-            labels.append(int(raw))
-    if not labels:
-        raise DataError(f"{path}: no label rows")
-    return np.array(labels, dtype=np.int64)
+def _read_labels(path: str) -> np.ndarray:
+    """Labels of a corpus CSV (``sequence`` and ``label`` columns)."""
+    _, labels = data_mod.read_csv_rows(_require_file(path))
+    return np.asarray(labels, dtype=np.int64)
 
 
 def cmd_classify_nn(args) -> int:
-    settings = MlpSettings()
-    if args.config:
-        settings = load_run_config(args.config).mlp
+    cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        settings.seed = args.seed
+        cfg.sections["mlp"]["seed"] = args.seed
     features = _read_feature_csv(args.features)
-    labels = _read_label_csv(args.labels)
+    labels = _read_labels(args.labels)
     if features.shape[0] != labels.shape[0]:
         raise DataError("feature and label row counts differ")
-    config = mlp_mod.MlpConfig(
-        input_dim=features.shape[1],
-        hidden_dims=settings.hidden_dims,
-        dropout=settings.dropout,
-        learning_rate=settings.learning_rate,
-        batch_size=settings.batch_size,
-        epochs=settings.epochs,
-        seed=settings.seed,
-    )
+    config = cfg.mlp_config(input_dim=features.shape[1])
     model = mlp_mod.mlp_train(features, labels, config)
     if args.eval_features and args.eval_labels:
         eval_x = _read_feature_csv(args.eval_features)
-        eval_y = _read_label_csv(args.eval_labels)
+        eval_y = _read_labels(args.eval_labels)
     else:
         eval_x, eval_y = features, labels
     scores = mlp_mod.mlp_predict(model, eval_x)
@@ -321,7 +303,7 @@ def cmd_classify_nn(args) -> int:
     payload = report.to_dict()
     payload["auc_roc_x100"] = round(report.auc_roc * 100, 4)
     payload["average_precision_x100"] = round(report.average_precision * 100, 4)
-    payload["provenance"] = {"seed": settings.seed, "features": str(args.features)}
+    payload["provenance"] = {"seed": config.seed, "features": str(args.features)}
     _write_json(out / "nn_evaluation.json", payload)
     print(
         f"AUC {payload['auc_roc_x100']:.1f}  AP {payload['average_precision_x100']:.1f} "
@@ -337,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker count (0 = auto)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+    def common(p, seed_help=None):
+        if seed_help:
+            p.add_argument("--seed", type=int, default=None, help=seed_help)
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train an ensemble from a labeled CSV")
     p.add_argument("--config", required=True)
-    common(p)
+    p.add_argument("--threads", type=int, default=1, help="worker count (0 = auto)")
+    common(p, "override [ensemble] master_seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="composite scores for a corpus")
@@ -358,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--calibration-fraction", type=float, default=0.2)
-    common(p)
+    common(p, "calibration split seed (default: the model's master_seed)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("features", help="normalized log-likelihood feature vectors")
@@ -377,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", type=int, choices=(0, 1), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    common(p)
+    common(p, "sampling seed (default: the model's master_seed)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("classify-nn", help="train the MLP head on feature vectors")
@@ -386,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-features", default=None)
     p.add_argument("--eval-labels", default=None)
     p.add_argument("--config", default=None)
-    common(p)
+    common(p, "override [mlp] seed")
     p.set_defaults(func=cmd_classify_nn)
 
     return parser

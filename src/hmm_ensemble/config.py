@@ -1,11 +1,10 @@
-"""Run configuration: INI-style files with sections mirroring module configs.
+"""Run configuration: INI-style files whose sections are the library configs.
 
 A config file looks like::
 
     [data]
     train_csv = train.csv
     imbalance_ratio = 0
-    calibration_fraction = 0.2
 
     [ensemble]
     n_pos_models = 20
@@ -26,110 +25,89 @@ A config file looks like::
     batch_size = 64
     epochs = 16
 
-Unknown keys are rejected so typos fail loudly; parse errors name the
-offending [section] key.
+Each section's keys, types and defaults are the fields of one dataclass
+(see SECTIONS), minus the fields a run fills in itself. Unknown keys are
+rejected so typos fail loudly; parse errors name the offending
+[section] key.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass, field
 
-from .ensemble import DEFAULT_STATE_COUNTS, EnsembleConfig
+from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .hmm import TrainConfig
+from .mlp import MlpConfig
 
 
-@dataclass
-class MlpSettings:
-    """The MLP hyperparameter surface minus input_dim, which is derived
-    from the feature width at training time."""
+@dataclass(frozen=True)
+class DataConfig:
+    """Where the training corpus lives and how to reshape it."""
 
-    hidden_dims: tuple[int, ...] = (512, 256, 128)
-    dropout: float = 0.25
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 16
-    seed: int = 0
-
-
-@dataclass
-class RunConfig:
     train_csv: str | None = None
     sequence_column: str = "sequence"
     label_column: str = "label"
     imbalance_ratio: float = 0.0  # 0 disables imbalance construction
     imbalance_seed: int = 0
-    calibration_fraction: float = 0.2
-    n_pos_models: int = 20
-    n_neg_models: int = 20
-    subset_fraction: float = 1.0
-    state_counts: tuple[int, ...] = DEFAULT_STATE_COUNTS
-    master_seed: int = 0
-    max_iters: int = 25
-    tol: float = 1e-4
-    floor: float = 1e-10
-    mlp: MlpSettings = field(default_factory=MlpSettings)
+
+
+# Section -> (dataclass, fields left out of the file). Each training job
+# sets its own n_states and seed; the MLP's input_dim is the feature width.
+SECTIONS = {
+    "data": (DataConfig, ()),
+    "ensemble": (EnsembleConfig, ("train",)),
+    "train": (TrainConfig, ("n_states", "seed")),
+    "mlp": (MlpConfig, ("input_dim",)),
+}
+
+
+def _section_fields(section: str) -> dict[str, dataclasses.Field]:
+    cls, excluded = SECTIONS[section]
+    return {f.name: f for f in dataclasses.fields(cls) if f.name not in excluded}
+
+
+def _defaults() -> dict[str, dict]:
+    return {
+        section: {name: f.default for name, f in _section_fields(section).items()}
+        for section in SECTIONS
+    }
+
+
+@dataclass
+class RunConfig:
+    """The values of every section, keyed by section then field name."""
+
+    sections: dict[str, dict] = field(default_factory=_defaults)
+
+    @property
+    def data(self) -> DataConfig:
+        return DataConfig(**self.sections["data"])
 
     def ensemble_config(self) -> EnsembleConfig:
-        return EnsembleConfig(
-            n_pos_models=self.n_pos_models,
-            n_neg_models=self.n_neg_models,
-            subset_fraction=self.subset_fraction,
-            state_counts=self.state_counts,
-            train=TrainConfig(
-                n_states=self.state_counts[0],
-                max_iters=self.max_iters,
-                tol=self.tol,
-                floor=self.floor,
-            ),
-            master_seed=self.master_seed,
-        )
+        # The train template's n_states is a placeholder that each job
+        # replaces; the first state count keeps it valid.
+        config = EnsembleConfig(**self.sections["ensemble"])
+        train = TrainConfig(n_states=config.state_counts[0], **self.sections["train"])
+        return dataclasses.replace(config, train=train)
+
+    def mlp_config(self, input_dim: int) -> MlpConfig:
+        return MlpConfig(input_dim=input_dim, **self.sections["mlp"])
 
 
-def _parse(section: str, key: str, raw: str, kind):
+def _parse(section: str, key: str, raw: str):
+    cls = SECTIONS[section][0]
+    kind = typing.get_type_hints(cls)[key]
     try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes")
-        if kind == "int_list":
+        if kind == tuple[int, ...]:
             return tuple(int(v) for v in raw.split(",") if v.strip())
-        return kind(raw)
-    except (TypeError, ValueError):
+        return kind(raw) if kind in (int, float) else raw
+    except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-
-
-_SCHEMA = {
-    "data": {
-        "train_csv": ("train_csv", str),
-        "sequence_column": ("sequence_column", str),
-        "label_column": ("label_column", str),
-        "imbalance_ratio": ("imbalance_ratio", float),
-        "imbalance_seed": ("imbalance_seed", int),
-        "calibration_fraction": ("calibration_fraction", float),
-    },
-    "ensemble": {
-        "n_pos_models": ("n_pos_models", int),
-        "n_neg_models": ("n_neg_models", int),
-        "subset_fraction": ("subset_fraction", float),
-        "state_counts": ("state_counts", "int_list"),
-        "master_seed": ("master_seed", int),
-    },
-    "train": {
-        "max_iters": ("max_iters", int),
-        "tol": ("tol", float),
-        "floor": ("floor", float),
-    },
-}
-
-_MLP_SCHEMA = {
-    "hidden_dims": ("hidden_dims", "int_list"),
-    "dropout": ("dropout", float),
-    "learning_rate": ("learning_rate", float),
-    "batch_size": ("batch_size", int),
-    "epochs": ("epochs", int),
-    "seed": ("seed", int),
-}
 
 
 def load_run_config(path) -> RunConfig:
@@ -143,37 +121,24 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
     cfg = RunConfig()
     for section in parser.sections():
-        if section == "mlp":
-            for key, raw in parser.items(section):
-                if key not in _MLP_SCHEMA:
-                    raise ConfigError(f"[mlp] {key}: unknown key")
-                attr, kind = _MLP_SCHEMA[key]
-                setattr(cfg.mlp, attr, _parse(section, key, raw, kind))
-            continue
-        if section not in _SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        known = _section_fields(section)
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in known:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-            attr, kind = _SCHEMA[section][key]
-            setattr(cfg, attr, _parse(section, key, raw, kind))
+            cfg.sections[section][key] = _parse(section, key, raw)
     return cfg
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
     """Canonical flat rendering of a config; hashed into every output file."""
     lines = []
-    for section, keys in _SCHEMA.items():
-        for key, (attr, _) in sorted(keys.items()):
-            value = getattr(cfg, attr)
+    for section, values in cfg.sections.items():
+        for key, value in sorted(values.items()):
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             lines.append(f"{section}.{key} = {value}")
-    for key, (attr, _) in sorted(_MLP_SCHEMA.items()):
-        value = getattr(cfg.mlp, attr)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"mlp.{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -157,17 +157,17 @@ def subsample_imbalance(dataset: LabeledDataset, ratio: float, seed: int) -> Lab
     return out
 
 
-def split(
-    dataset: LabeledDataset, fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified split: each class contributes round-half-up(fraction * n)
-    sequences to part A and the rest to part B. Original order is kept."""
+def split_indices(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of row indices: one generator permutes class 0 and
+    then class 1, and each class puts its first round-half-up(fraction * n)
+    rows in part A and the rest in part B. Both parts come back sorted."""
     if not 0.0 < fraction < 1.0:
         raise ParameterError("split fraction must be in (0, 1)")
+    labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     a_parts, b_parts = [], []
     for label in (0, 1):
-        class_idx = np.flatnonzero(dataset.labels == label)
+        class_idx = np.flatnonzero(labels == label)
         n_a = math.floor(class_idx.size * fraction + 0.5)
         if n_a < 1 or n_a >= class_idx.size:
             raise ParameterError(
@@ -176,6 +176,12 @@ def split(
         perm = rng.permutation(class_idx)
         a_parts.append(perm[:n_a])
         b_parts.append(perm[n_a:])
-    part_a = dataset.take(np.sort(np.concatenate(a_parts)))
-    part_b = dataset.take(np.sort(np.concatenate(b_parts)))
-    return part_a, part_b
+    return np.sort(np.concatenate(a_parts)), np.sort(np.concatenate(b_parts))
+
+
+def split(
+    dataset: LabeledDataset, fraction: float, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Stratified split of a dataset by split_indices. Original order is kept."""
+    a_idx, b_idx = split_indices(dataset.labels, fraction, seed)
+    return dataset.take(a_idx), dataset.take(b_idx)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ensemble import EnsembleModel
 from .errors import ParameterError
@@ -131,6 +130,9 @@ def _hmm_distance_weighted(
     for i in range(n_a):
         d = np.sqrt(np.sum((sqrt_a[i][None, :] - sqrt_b) ** 2, axis=1)) / math.sqrt(2.0)
         cost[i] = np.minimum(d, 1.0)
+    # scipy.optimize takes most of a second to import; only this step needs it
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     weights = (v_a[rows] + v_b[cols]) / 2.0
     total = float(np.sum(weights * cost[rows, cols]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .hmm import (
     TrainConfig,
     Vocabulary,
     _check_sequence,
+    _group_by_length,
     baum_welch,
     forward_batch,
     log_likelihood,
@@ -42,9 +43,9 @@ class EnsembleConfig:
     through ``state_counts`` by job index) and ``seed``.
     """
 
-    n_pos_models: int
-    n_neg_models: int
-    subset_fraction: float
+    n_pos_models: int = 20
+    n_neg_models: int = 20
+    subset_fraction: float = 1.0
     state_counts: tuple[int, ...] = DEFAULT_STATE_COUNTS
     train: TrainConfig = field(default_factory=lambda: TrainConfig(n_states=5))
     master_seed: int = 0
@@ -59,20 +60,9 @@ class EnsembleConfig:
         object.__setattr__(self, "state_counts", tuple(int(c) for c in self.state_counts))
 
     def to_dict(self) -> dict:
-        return {
-            "n_pos_models": self.n_pos_models,
-            "n_neg_models": self.n_neg_models,
-            "subset_fraction": self.subset_fraction,
-            "state_counts": list(self.state_counts),
-            "master_seed": self.master_seed,
-            "train": {
-                "n_states": self.train.n_states,
-                "max_iters": self.train.max_iters,
-                "tol": self.train.tol,
-                "seed": self.train.seed,
-                "floor": self.train.floor,
-            },
-        }
+        d = asdict(self)
+        d["state_counts"] = list(self.state_counts)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleConfig":
@@ -180,6 +170,8 @@ class EnsembleModel:
         m = self.vocabulary.size
         if any(p.m != m for p in self.positive_models + self.negative_models):
             raise ParameterError("all models must share the vocabulary size")
+        if len(self.seeds) != len(self.models):
+            raise ParameterError("need one (subset_seed, model_seed) pair per model")
 
     @property
     def models(self) -> list[HmmParams]:
@@ -291,14 +283,9 @@ def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
             checked.append(_check_sequence(seq, m))
         except (DataError, ParameterError) as exc:
             raise type(exc)(f"sequence {i}: {exc}") from None
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(checked):
-        by_len.setdefault(seq.shape[0], []).append(i)
     models = ensemble.models
     out = np.empty((len(checked), len(models)))
-    for length in sorted(by_len):
-        idx = by_len[length]
-        obs = np.stack([checked[i] for i in idx])
+    for idx, obs in _group_by_length(checked):
         for j, model in enumerate(models):
             out[idx, j] = forward_batch(model, obs)
     return out

@@ -95,8 +95,9 @@ class HmmParams:
                 f"inconsistent shapes: pi {pi.shape}, A {A.shape}, B {B.shape}"
             )
         for name, arr in (("pi", pi[None, :]), ("A", A), ("B", B)):
-            if np.any(arr < 0):
-                raise ParameterError(f"{name} has negative entries")
+            # written so that NaN fails it, since NaN also passes the row sum test
+            if not np.all(arr >= 0):
+                raise ParameterError(f"{name} has negative or non-finite entries")
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
                 raise ParameterError(f"rows of {name} must sum to 1")
         for arr in (pi, A, B):
@@ -229,16 +230,21 @@ def viterbi(model: HmmParams, seq) -> tuple[np.ndarray, float]:
     return path, float(delta[path[-1]])
 
 
-def _group_by_length(sequences: list[TokenSequence]) -> list[np.ndarray]:
-    """Stack sequences of equal length so the E-step can vectorize over them.
+def _group_by_length(sequences: list[TokenSequence]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(row indices, S x T stacked array) for each distinct sequence length.
 
-    Group order (ascending length) is fixed so accumulation order, and hence
-    the floating-point result, never depends on input ordering tricks.
+    Stacking lets the forward pass and the E-step vectorize over a group.
+    Group order (ascending length) and row order within a group (input
+    order) are fixed, so accumulation order, and hence the floating-point
+    result, never depends on input ordering tricks.
     """
-    by_len: dict[int, list[TokenSequence]] = {}
-    for seq in sequences:
-        by_len.setdefault(seq.shape[0], []).append(seq)
-    return [np.stack(by_len[t]) for t in sorted(by_len)]
+    by_len: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_len.setdefault(seq.shape[0], []).append(i)
+    return [
+        (np.array(idx), np.stack([sequences[i] for i in idx]))
+        for _, idx in sorted(by_len.items())
+    ]
 
 
 def _e_step(model: HmmParams, groups: list[np.ndarray]):
@@ -325,7 +331,7 @@ def baum_welch(
         raise ParameterError("need at least one training sequence")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    groups = _group_by_length(sequences)
+    groups = [obs for _, obs in _group_by_length(sequences)]
     model = init_random(config.n_states, n_symbols, rng)
     history: list[float] = []
     for _ in range(config.max_iters):

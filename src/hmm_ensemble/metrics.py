@@ -19,6 +19,8 @@ def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.ndim != 1 or labels.shape != scores.shape:
         raise ParameterError("labels and scores must be 1-D and equal length")
+    if not np.all(np.isfinite(scores)):
+        raise ParameterError("scores must be finite")
     if not (np.any(labels == 1) and np.any(labels == 0)):
         raise ParameterError("both classes must be present")
     return labels, scores

@@ -55,7 +55,7 @@ class MlpConfig:
 
 
 class MlpModel:
-    """Parameters, batch-norm running statistics, and a training-mode flag.
+    """Parameters and batch-norm running statistics.
 
     ``params`` maps names (W0, b0, gamma0, beta0, ..., W_out, b_out) to
     arrays; gradient and optimizer state dictionaries mirror its keys.
@@ -77,7 +77,6 @@ class MlpModel:
         self.input_dim = int(input_dim)
         self.hidden_dims = tuple(int(h) for h in hidden_dims)
         self.dropout = float(dropout)
-        self.training = False
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
         self.running_mean: list[np.ndarray] = []
@@ -93,10 +92,6 @@ class MlpModel:
             fan_in = width
         self.params["W_out"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), (1, fan_in))
         self.params["b_out"] = np.zeros(1)
-
-    def train_mode(self, on: bool = True) -> "MlpModel":
-        self.training = on
-        return self
 
     def _check_input(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -284,7 +279,6 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
     if np.sum(y == 1) < 2 or np.sum(y == 0) < 2:
         raise ParameterError("need at least 2 examples per class")
     model = MlpModel(config.input_dim, config.hidden_dims, config.dropout, seed=config.seed)
-    model.train_mode(True)
     weights = class_balance_weights(y.astype(np.int64))
     rng = np.random.default_rng(config.seed)
     state = adam_init(model.params)
@@ -296,7 +290,7 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
             logits, caches = model.forward_train(x[idx], rng=rng)
             grads = model.backward(logits, y[idx], caches)
             adam_step(model.params, grads, state, config.learning_rate)
-    return model.train_mode(False)
+    return model
 
 
 def mlp_predict(model: MlpModel, features) -> np.ndarray:

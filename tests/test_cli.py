@@ -31,7 +31,6 @@ def write_config(path, train_csv, n_models=2, subset=1.0, seed=7):
         f"""
 [data]
 train_csv = {train_csv}
-calibration_fraction = 0.3
 
 [ensemble]
 n_pos_models = {n_models}

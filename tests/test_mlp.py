@@ -106,7 +106,7 @@ class TestTraining:
 
     def test_loss_decreases_on_fixed_batch(self):
         x, y = separable_toy(n=32, seed=4)
-        model = MlpModel(2, (8,), dropout=0.0, seed=5).train_mode(True)
+        model = MlpModel(2, (8,), dropout=0.0, seed=5)
         state = adam_init(model.params)
         losses = []
         for _ in range(10):
