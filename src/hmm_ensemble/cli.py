@@ -67,7 +67,8 @@ def _reject_constant(name: str):
 def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
     """Returns the model and whatever provenance block the file carries.
 
-    Any file that does not parse into a valid model is a data error.
+    Any file that does not parse into a valid model, or whose provenance
+    block or its ``dataset`` entry is not an object, is a data error.
     """
     with open(_require_file(path), encoding="utf-8") as fh:
         try:
@@ -75,7 +76,10 @@ def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
             model = ens.EnsembleModel.from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: invalid model ({type(exc).__name__}: {exc})") from None
-    return model, payload.get("provenance", {})
+    provenance = payload.get("provenance", {})
+    if not isinstance(provenance, dict) or not isinstance(provenance.get("dataset", {}), dict):
+        raise DataError(f"{path}: invalid model (provenance and its dataset must be objects)")
+    return model, provenance
 
 
 def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
@@ -144,6 +148,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _report_payload(report: EvalReport) -> dict:
+    """The report's fields plus AUC and AP as percentages to 4 decimals."""
+    payload = report.to_dict()
+    payload["auc_roc_x100"] = round(report.auc_roc * 100, 4)
+    payload["average_precision_x100"] = round(report.average_precision * 100, 4)
+    return payload
+
+
 def _model_hash_seed(model: ens.EnsembleModel) -> tuple[str, int]:
     text = json.dumps(model.config.to_dict(), sort_keys=True)
     return config_hash(text), model.config.master_seed
@@ -188,9 +200,7 @@ def cmd_evaluate(args) -> int:
     threshold = ens.choose_threshold(all_scores[calib_idx], labels[calib_idx])
     report = EvalReport.from_scores(labels[eval_idx], all_scores[eval_idx], threshold)
     out = _out_dir(args)
-    payload = report.to_dict()
-    payload["auc_roc_x100"] = round(report.auc_roc * 100, 4)
-    payload["average_precision_x100"] = round(report.average_precision * 100, 4)
+    payload = _report_payload(report)
     payload["provenance"] = {
         "config_hash": cfg_hash,
         "master_seed": seed,
@@ -282,6 +292,9 @@ def _read_labels(path: str) -> np.ndarray:
 
 
 def cmd_classify_nn(args) -> int:
+    if (args.eval_features is None) != (args.eval_labels is None):
+        missing = "--eval-labels" if args.eval_labels is None else "--eval-features"
+        raise ParameterError(f"--eval-features and --eval-labels go together; {missing} is missing")
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.sections["mlp"]["seed"] = args.seed
@@ -291,18 +304,16 @@ def cmd_classify_nn(args) -> int:
         raise DataError("feature and label row counts differ")
     config = cfg.mlp_config(input_dim=features.shape[1])
     model = mlp_mod.mlp_train(features, labels, config)
-    if args.eval_features and args.eval_labels:
+    if args.eval_features is None:
+        eval_x, eval_y = features, labels
+    else:
         eval_x = _read_feature_csv(args.eval_features)
         eval_y = _read_labels(args.eval_labels)
-    else:
-        eval_x, eval_y = features, labels
     scores = mlp_mod.mlp_predict(model, eval_x)
     report = EvalReport.from_scores(eval_y, scores, threshold=0.5)
     out = _out_dir(args)
     _write_json(out / "mlp.json", model.to_dict())
-    payload = report.to_dict()
-    payload["auc_roc_x100"] = round(report.auc_roc * 100, 4)
-    payload["average_precision_x100"] = round(report.average_precision * 100, 4)
+    payload = _report_payload(report)
     payload["provenance"] = {"seed": config.seed, "features": str(args.features)}
     _write_json(out / "nn_evaluation.json", payload)
     print(

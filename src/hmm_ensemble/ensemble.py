@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericError, ParameterError
 from .hmm import (
     HmmParams,
     TrainConfig,
@@ -205,7 +205,8 @@ def _run_job(payload):
     k, sequences, n_symbols, train_cfg = payload
     try:
         return k, baum_welch(sequences, n_symbols, train_cfg)
-    except Exception as exc:
+    except (ParameterError, DataError, NumericError) as exc:
+        # name the job, keeping the package error type that sets the CLI exit code
         raise type(exc)(f"training job {k} failed: {exc}") from exc
 
 

@@ -1,9 +1,11 @@
 """Discrete-emission hidden Markov models.
 
-Log-space forward likelihood, Viterbi decoding, multi-sequence Baum-Welch
-training, and generative sampling. Everything here is pure with respect to
-the model: parameters are immutable after construction, training returns a
-new model, and random state is always passed in explicitly.
+Log-space forward likelihood (``forward_batch``, which scoring uses) and
+Viterbi decoding; multi-sequence Baum-Welch training on a scaled
+forward-backward pass (Rabiner 1989, Sec. V.A); and generative sampling.
+Everything here is pure with respect to the model: parameters are immutable
+after construction, training returns a new model, and random state is
+always passed in explicitly.
 """
 
 from __future__ import annotations
@@ -248,47 +250,44 @@ def _group_by_length(sequences: list[TokenSequence]) -> list[tuple[np.ndarray, n
 
 
 def _e_step(model: HmmParams, groups: list[np.ndarray]):
-    """Pooled expected counts and total log-likelihood over all sequences."""
+    """Pooled expected counts and total log-likelihood over all sequences.
+
+    Scaled forward-backward (Rabiner 1989, Sec. V.A), time-major per group:
+    alpha[t] sums to 1 per row with normalizer c[t], ln p = sum_t ln c[t],
+    beta shares the scaling, and gamma = alpha * beta. A row with a c[t] of
+    0 is impossible: its log-likelihood is -inf and it adds no counts.
+    """
     n, m = model.n, model.m
-    log_pi, log_A, log_Bt = _log_params(model)
-    pi_counts = np.zeros(n)
-    trans_counts = np.zeros((n, n))
-    emit_counts = np.zeros((n, m))
+    A, Bt = model.A, model.B.T
+    ones = np.ones(n)  # a @ ones sums rows faster than a.sum(axis=1) at n <= 5
+    pi_counts, trans_counts, emit_counts = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
     for obs in groups:
-        S, T = obs.shape
-        alpha = np.empty((S, T, n))
-        alpha[:, 0] = log_pi[None, :] + log_Bt[obs[:, 0]]
-        for t in range(1, T):
-            alpha[:, t] = (
-                logsumexp(alpha[:, t - 1][:, :, None] + log_A[None, :, :], axis=1)
-                + log_Bt[obs[:, t]]
-            )
-        ll = logsumexp(alpha[:, -1], axis=1)
-        total_ll += float(ll.sum())
+        obs = obs.T
+        T, S = obs.shape
+        Bo = Bt[obs]
+        alpha, c = np.empty((T, S, n)), np.empty((T, S))
+        a = model.pi * Bo[0]
+        for t in range(T):
+            if t:
+                a = (alpha[t - 1] @ A) * Bo[t]
+            c[t] = s = a @ ones
+            alpha[t] = a / np.where(s > 0, s, 1.0)[:, None]
+        with np.errstate(divide="ignore"):
+            total_ll += float(np.log(c).sum())
 
-        beta = np.empty((S, T, n))
-        beta[:, -1] = 0.0
-        for t in range(T - 2, -1, -1):
-            beta[:, t] = logsumexp(
-                log_A[None, :, :] + (log_Bt[obs[:, t + 1]] + beta[:, t + 1])[:, None, :],
-                axis=2,
-            )
-
-        gamma = np.exp(alpha + beta - ll[:, None, None])
-        pi_counts += gamma[:, 0].sum(axis=0)
-        flat_obs = obs.reshape(-1)
-        flat_gamma = gamma.reshape(-1, n)
+        # dividing by c gives beta the scaling of alpha; inf zeroes impossible rows
+        Bo /= np.where(c > 0, c, np.inf)[:, :, None]
+        beta = np.ones((T, S, n))
+        for t in range(T - 1, 0, -1):
+            beta[t - 1] = (Bo[t] * beta[t]) @ A.T
+        gamma = alpha * beta
+        pi_counts += gamma[0].sum(axis=0)
+        xi_right = (Bo[1:] * beta[1:]).reshape(-1, n)
+        trans_counts += A * (alpha[:-1].reshape(-1, n).T @ xi_right)
+        flat_obs, flat_gamma = obs.reshape(-1), gamma.reshape(-1, n)
         for j in range(n):
             emit_counts[j] += np.bincount(flat_obs, weights=flat_gamma[:, j], minlength=m)
-        for t in range(T - 1):
-            log_xi = (
-                alpha[:, t][:, :, None]
-                + log_A[None, :, :]
-                + (log_Bt[obs[:, t + 1]] + beta[:, t + 1])[:, None, :]
-                - ll[:, None, None]
-            )
-            trans_counts += np.exp(log_xi).sum(axis=0)
     return (pi_counts, trans_counts, emit_counts), total_ll
 
 

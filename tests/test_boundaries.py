@@ -60,6 +60,27 @@ class TestModelFile:
         assert main(["diversity", "--model", str(bad), "--out", str(tmp_path)]) == 3
 
 
+    @pytest.mark.parametrize("provenance", [5, {"dataset": 5}])
+    def test_provenance_not_an_object_exits_3(self, trained, tmp_path, capsys, provenance):
+        assert score_edited(trained, tmp_path, lambda p: p.update(provenance=provenance)) == 3
+        assert "provenance" in capsys.readouterr().err
+
+
+class TestClassifyNnFlags:
+    @pytest.mark.parametrize("given, missing", [("--eval-features", "--eval-labels"),
+                                                ("--eval-labels", "--eval-features")])
+    def test_one_eval_flag_exits_2(self, trained, tmp_path, capsys, given, missing):
+        corpus, model = trained
+        assert main(["features", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 0
+        features = str(tmp_path / "features.csv")
+        value = features if given == "--eval-features" else str(corpus)
+        assert main(["classify-nn", "--features", features, "--labels", str(corpus),
+                     given, value, "--out", str(tmp_path / "nn")]) == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "nn" / "nn_evaluation.json").exists()
+
+
 class TestParams:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):

@@ -27,6 +27,7 @@ from hmm_ensemble import (
     singleton_classify,
     train_ensemble,
 )
+from hmm_ensemble import ensemble as ensemble_mod
 from hmm_ensemble.ensemble import _ceil_fraction
 
 
@@ -205,6 +206,19 @@ class TestTrainEnsemble:
         bad = small_config(train=TrainConfig(n_states=2, max_iters=3, floor=0.4))
         with pytest.raises(ParameterError, match="job 0"):
             train_ensemble(ds, bad)
+
+    def test_foreign_exception_propagates_unchanged(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        def fail(*args):
+            raise TwoArgError(7, "boom")
+
+        monkeypatch.setattr(ensemble_mod, "baum_welch", fail)
+        with pytest.raises(TwoArgError) as info:
+            train_ensemble(synthetic_dataset(), small_config(), n_workers=1)
+        assert info.value.args == (7, "boom")
 
 
 @pytest.fixture(scope="module")

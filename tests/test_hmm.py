@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hmm_ensemble import (
     DataError,
     HmmParams,
+    NumericError,
     ParameterError,
     TrainConfig,
     Vocabulary,
@@ -16,7 +20,8 @@ from hmm_ensemble import (
     sample,
     viterbi,
 )
-from hmm_ensemble.hmm import logsumexp
+from hmm_ensemble import hmm as hmm_mod
+from hmm_ensemble.hmm import _e_step, _group_by_length, forward_batch, logsumexp
 
 
 TWO_STATE = HmmParams(
@@ -307,3 +312,76 @@ class TestSample:
     def test_zero_length_rejected(self):
         with pytest.raises(ParameterError):
             sample(TWO_STATE, 0, np.random.default_rng(0))
+
+
+def _stochastic_rows(n_rows, width):
+    """Row-stochastic (n_rows, width) arrays where any entry may be exactly 0."""
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    row = st.lists(entry, min_size=width, max_size=width).filter(lambda r: sum(r) > 0)
+    return st.lists(row, min_size=n_rows, max_size=n_rows).map(
+        lambda rows: np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    )
+
+
+@st.composite
+def sparse_model_and_corpus(draw):
+    """A model with n, m <= 3 and zero entries, plus 1-5 sequences of lengths 1-6."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    model = HmmParams(
+        pi=draw(_stochastic_rows(1, n))[0],
+        A=draw(_stochastic_rows(n, n)),
+        B=draw(_stochastic_rows(n, m)),
+    )
+    token = st.integers(0, m - 1)
+    seqs = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=5))
+    return model, [np.array(seq, dtype=np.int64) for seq in seqs]
+
+
+def e_step(model, seqs):
+    return _e_step(model, [obs for _, obs in _group_by_length(seqs)])
+
+
+class TestEStepProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_model_and_corpus())
+    def test_counts_match_enumeration(self, case):
+        model, seqs = case
+        counts, _ = e_step(model, seqs)
+        # a sequence impossible under the model adds nothing
+        possible = [seq for seq in seqs if oracles.brute_likelihood(model, seq) > 0]
+        for got, want in zip(counts, oracles.brute_em_counts(model, possible)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_model_and_corpus())
+    def test_total_matches_log_space_forward(self, case):
+        model, seqs = case
+        _, total = e_step(model, seqs)
+        want = sum(float(forward_batch(model, obs).sum()) for _, obs in _group_by_length(seqs))
+        if math.isinf(want):
+            assert total == want
+        else:  # abs covers totals near 0, e.g. a one-symbol vocabulary
+            assert total == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_model_and_corpus())
+    def test_impossible_sequence_gives_minus_inf_and_finite_counts(self, case):
+        model, seqs = case
+        assume(any(oracles.brute_likelihood(model, seq) == 0 for seq in seqs))
+        counts, total = e_step(model, seqs)
+        assert total == -math.inf
+        for arr in counts:
+            assert np.all(np.isfinite(arr))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_model_and_corpus())
+    def test_length_one_groups_give_no_transitions(self, case):
+        model, seqs = case
+        (_, trans, _), _ = e_step(model, [seq[:1] for seq in seqs])
+        assert not trans.any()
+
+    def test_impossible_sequence_stops_baum_welch(self, monkeypatch):
+        start = HmmParams(pi=[1.0], A=[[1.0]], B=[[1.0, 0.0]])
+        monkeypatch.setattr(hmm_mod, "init_random", lambda n, m, rng: start)
+        with pytest.raises(NumericError):
+            baum_welch([np.array([0, 1])], 2, TrainConfig(n_states=1, floor=0.0))
