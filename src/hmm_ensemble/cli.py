@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,9 +85,7 @@ def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
 
 def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
     """Encode a corpus CSV against the model's own vocabulary."""
-    texts, labels = data_mod.read_csv_rows(
-        _require_file(path), label_column="label" if labels_required else None
-    )
+    texts, labels = data_mod.read_csv_rows(_require_file(path), with_labels=labels_required)
     try:
         sequences = [model.vocabulary.encode(t) for t in texts]
     except DataError as exc:
@@ -113,9 +112,7 @@ def cmd_train(args) -> int:
     data_cfg = cfg.data
     if not data_cfg.train_csv:
         raise DataError("config has no [data] train_csv")
-    dataset = data_mod.load_csv(
-        _require_file(data_cfg.train_csv), data_cfg.sequence_column, data_cfg.label_column
-    )
+    dataset = data_mod.load_csv(_require_file(data_cfg.train_csv))
     if data_cfg.imbalance_ratio > 0:
         dataset = data_mod.subsample_imbalance(
             dataset, data_cfg.imbalance_ratio, data_cfg.imbalance_seed
@@ -165,12 +162,11 @@ def cmd_score(args) -> int:
     model, _ = _load_model(args.model)
     sequences, _ = _load_corpus(model, args.data, labels_required=False)
     ll = ens.log_likelihood_matrix(model, sequences)
-    n_pos = model.config.n_pos_models
-    scores = [ens.matchup_count(row[:n_pos], row[n_pos:]) for row in ll]
+    scores = ens.matchup_scores(model, ll)
     cfg_hash, seed = _model_hash_seed(model)
     header = (
         ["index", "composite_score"]
-        + [f"loglik_pos_{i}" for i in range(n_pos)]
+        + [f"loglik_pos_{i}" for i in range(model.config.n_pos_models)]
         + [f"loglik_neg_{j}" for j in range(model.config.n_neg_models)]
     )
     rows = [
@@ -233,13 +229,9 @@ def cmd_diversity(args) -> int:
     model, _ = _load_model(args.model)
     sim = similarity_matrix(model)
     cfg_hash, seed = _model_hash_seed(model)
-    out = _out_dir(args)
-    path = out / "similarity.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in _provenance_lines(cfg_hash, seed):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(sim.to_rows())
+    path = _out_dir(args) / "similarity.csv"
+    header, *rows = sim.to_rows()
+    _write_csv(path, header, rows, cfg_hash, seed)
     print(f"wrote {len(sim.labels)}x{len(sim.labels)} similarity matrix -> {path}")
     return 0
 
@@ -265,24 +257,29 @@ def cmd_generate(args) -> int:
 
 
 def _read_feature_csv(path: str) -> np.ndarray:
-    """Wide numeric CSV as written by cmd_features: index column then floats."""
-    rows = []
-    with open(_require_file(path), encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
+    """Wide numeric CSV as written by cmd_features: index column then floats.
+
+    Every row must be as wide as the header and hold finite numbers.
+    """
+    rows = data_mod.csv_rows(_require_file(path))
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    features = []
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: {len(row)} fields, header has {len(header)}")
         try:
-            next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-    if not rows:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        features.append(values)
+    if not features:
         raise DataError(f"{path}: no feature rows")
-    return np.array(rows)
+    return np.array(features)
 
 
 def _read_labels(path: str) -> np.ndarray:

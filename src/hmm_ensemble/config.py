@@ -27,8 +27,8 @@ A config file looks like::
 
 Each section's keys, types and defaults are the fields of one dataclass
 (see SECTIONS), minus the fields a run fills in itself. Unknown keys are
-rejected so typos fail loudly; parse errors name the offending
-[section] key.
+rejected so typos fail loudly; parse errors and non-finite floats name
+the offending [section] key.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -49,9 +50,7 @@ from .mlp import MlpConfig
 class DataConfig:
     """Where the training corpus lives and how to reshape it."""
 
-    train_csv: str | None = None
-    sequence_column: str = "sequence"
-    label_column: str = "label"
+    train_csv: str | None = None  # columns ``sequence`` and ``label``
     imbalance_ratio: float = 0.0  # 0 disables imbalance construction
     imbalance_seed: int = 0
 
@@ -105,9 +104,12 @@ def _parse(section: str, key: str, raw: str):
     try:
         if kind == tuple[int, ...]:
             return tuple(int(v) for v in raw.split(",") if v.strip())
-        return kind(raw) if kind in (int, float) else raw
+        value = kind(raw) if kind in (int, float) else raw
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def load_run_config(path) -> RunConfig:

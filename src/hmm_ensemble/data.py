@@ -74,55 +74,54 @@ class LabeledDataset:
         )
 
 
-def read_csv_rows(
-    path, seq_column: str = "sequence", label_column: str | None = "label"
-) -> tuple[list[str], list[int] | None]:
-    """Read raw (text, label) rows; label_column=None skips labels.
+def csv_rows(path):
+    """Yield (1-based line number, fields) for each non-empty row, header
+    first. Lines starting with ``#`` are provenance comments and skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def read_csv_rows(path, with_labels: bool = True) -> tuple[list[str], list[int] | None]:
+    """Read the ``sequence`` column and, if asked, the ``label`` column.
 
     Errors name the offending 1-based line number.
     """
     texts: list[str] = []
-    labels: list[int] | None = [] if label_column is not None else None
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = (line for line in fh if not line.startswith("#"))
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if seq_column not in header:
-            raise DataError(f"{path}: missing column {seq_column!r}")
-        seq_i = header.index(seq_column)
-        label_i = None
-        if label_column is not None:
-            if label_column not in header:
-                raise DataError(f"{path}: missing column {label_column!r}")
-            label_i = header.index(label_column)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) <= max(seq_i, label_i or 0):
-                raise DataError(f"{path}:{lineno}: too few fields")
-            text = row[seq_i].strip()
-            if not text:
-                raise DataError(f"{path}:{lineno}: empty sequence")
-            texts.append(text)
-            if labels is not None:
-                raw = row[label_i].strip()
-                if raw not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {raw!r}")
-                labels.append(int(raw))
+    labels: list[int] | None = [] if with_labels else None
+    rows = csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    columns = ("sequence", "label") if with_labels else ("sequence",)
+    for name in columns:
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    where = [header.index(name) for name in columns]
+    for lineno, row in rows:
+        if len(row) <= max(where):
+            raise DataError(f"{path}:{lineno}: too few fields")
+        text = row[where[0]].strip()
+        if not text:
+            raise DataError(f"{path}:{lineno}: empty sequence")
+        texts.append(text)
+        if labels is not None:
+            raw = row[where[1]].strip()
+            if raw not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {raw!r}")
+            labels.append(int(raw))
     if not texts:
         raise DataError(f"{path}: no data rows")
     return texts, labels
 
 
-def load_csv(
-    path, seq_column: str = "sequence", label_column: str = "label"
-) -> LabeledDataset:
+def load_csv(path) -> LabeledDataset:
     """Load a labeled corpus, building the vocabulary in first-seen order."""
-    texts, labels = read_csv_rows(path, seq_column, label_column)
+    texts, labels = read_csv_rows(path)
     vocab = Vocabulary.from_texts(texts)
     return LabeledDataset(
         sequences=[vocab.encode(t) for t in texts],

@@ -31,6 +31,7 @@ from .hmm import (
     forward_batch,
     log_likelihood,
 )
+from .metrics import _check_inputs, _tie_groups
 
 DEFAULT_STATE_COUNTS = (3, 4, 5)
 
@@ -292,18 +293,20 @@ def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
     return out
 
 
+def matchup_scores(ensemble: EnsembleModel, ll: np.ndarray) -> list[int]:
+    """Composite score of each row of a log_likelihood_matrix result."""
+    n_pos = ensemble.config.n_pos_models
+    return [matchup_count(row[:n_pos], row[n_pos:]) for row in ll]
+
+
 def composite_score(ensemble: EnsembleModel, seq) -> int:
     """Pairwise-matchup score of one sequence, in [0, N*M]."""
-    ll = log_likelihood_matrix(ensemble, [seq])[0]
-    n_pos = ensemble.config.n_pos_models
-    return matchup_count(ll[:n_pos], ll[n_pos:])
+    return score_corpus(ensemble, [seq])[0]
 
 
 def score_corpus(ensemble: EnsembleModel, corpus) -> list[int]:
     """Composite score of every sequence, order-preserving."""
-    ll = log_likelihood_matrix(ensemble, corpus)
-    n_pos = ensemble.config.n_pos_models
-    return [matchup_count(row[:n_pos], row[n_pos:]) for row in ll]
+    return matchup_scores(ensemble, log_likelihood_matrix(ensemble, corpus))
 
 
 def feature_vectors(ensemble: EnsembleModel, corpus) -> np.ndarray:
@@ -320,34 +323,18 @@ def singleton_classify(pos_model: HmmParams, neg_model: HmmParams, seq) -> int:
     return int(log_likelihood(pos_model, seq) > log_likelihood(neg_model, seq))
 
 
-def _f1_fraction(tp: int, fp: int, fn: int) -> tuple[int, int]:
-    # F1 as an exact fraction (numerator, denominator) to dodge float ties.
-    return 2 * tp, 2 * tp + fp + fn
-
-
 def choose_threshold(scores, labels) -> float:
-    """Threshold maximizing F1 over {distinct scores} union {max+1}.
+    """Threshold maximizing F1 = 2tp / (2tp + fp + fn) over the distinct scores.
 
-    Ties go to the larger threshold, which flags fewer positives.
+    Ties go to the larger threshold, which flags fewer positives. Equal F1
+    fractions round to the same double, so the first maximum in descending
+    order is the largest tied threshold. A threshold above the maximum has
+    F1 = 0 and never wins, since the lowest score flags every positive.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ParameterError("scores and labels must be 1-D and equal length")
-    if not (np.any(labels == 1) and np.any(labels == 0)):
-        raise ParameterError("both classes must be present to calibrate a threshold")
-    n_pos = int(np.sum(labels == 1))
-    candidates = np.append(np.unique(scores), scores.max() + 1)
-    best_t, best_num, best_den = candidates[0], -1, 1
-    for t in candidates:
-        pred = scores >= t
-        tp = int(np.sum(pred & (labels == 1)))
-        fp = int(np.sum(pred & (labels == 0)))
-        num, den = _f1_fraction(tp, fp, n_pos - tp)
-        # ascending scan: >= prefers the larger threshold on exact ties
-        if num * best_den >= best_num * den:
-            best_t, best_num, best_den = t, num, den
-    return float(best_t)
+    labels, scores = _check_inputs(labels, scores)
+    distinct, tp, fp = _tie_groups(labels, scores)
+    f1 = 2 * tp / (2 * tp + fp + (tp[-1] - tp))
+    return float(distinct[np.argmax(f1)])
 
 
 def classify(scores, threshold: float) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Threshold-free classifier evaluation: AUC-ROC and Average Precision.
 
-Both metrics are computed from a single sort. AUC uses midrank tie
-handling (the Mann-Whitney statistic); AP is the recall-weighted average
-of precisions at each distinct score threshold, with no interpolation.
+Both metrics, and ``ensemble.choose_threshold``, read the cumulative
+counts of one descending sort with tied scores grouped. AUC uses midrank
+tie handling (the Mann-Whitney statistic); AP is the recall-weighted
+average of precisions at each distinct score threshold, with no
+interpolation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,70 +17,57 @@ from .errors import ParameterError
 
 
 def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.ndim != 1 or labels.shape != scores.shape:
         raise ParameterError("labels and scores must be 1-D and equal length")
     if not np.all(np.isfinite(scores)):
         raise ParameterError("scores must be finite")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ParameterError("labels must be 0 or 1")
+    labels = labels.astype(np.int64)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         raise ParameterError("both classes must be present")
     return labels, scores
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied scores sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0])
-    i = 0
-    while i < scores.shape[0]:
-        j = i
-        while j + 1 < scores.shape[0] and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _tie_groups(
+    labels: np.ndarray, scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One descending sweep over checked inputs (Fawcett 2006, Alg. 1).
+
+    Returns the distinct scores in descending order and, at each one, the
+    cumulative (tp, fp) counts: the rows scoring >= that score.
+    """
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)  # last row of each tie group
+    tp = np.cumsum(labels[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    return ranked[last], tp, fp
 
 
 def roc_auc(labels, scores) -> float:
     """P(random positive outranks random negative), ties counting half."""
     labels, scores = _check_inputs(labels, scores)
-    ranks = _midranks(scores)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.shape[0] - n_pos
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, tp, fp = _tie_groups(labels, scores)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
+    # twice each group's midrank: 2 * rows below + group size + 1
+    above = tp + fp
+    twice_ranks = 2 * (labels.shape[0] - above) + np.diff(above, prepend=0) + 1
+    twice_rank_sum = int(np.sum(np.diff(tp, prepend=0) * twice_ranks))
+    return (twice_rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg)
 
 
 def average_precision(labels, scores) -> float:
-    """Sum of precision * recall-increment over descending distinct scores.
-
-    Rows are visited in score-descending order with ties broken by the
-    original index; tied scores form one threshold step.
-    """
+    """Sum of precision * recall-increment over descending distinct scores;
+    tied scores form one threshold step."""
     labels, scores = _check_inputs(labels, scores)
-    n = labels.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
-    n_pos = int(np.sum(labels == 1))
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            if labels[order[k]] == 1:
-                tp += 1
-            else:
-                fp += 1
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    _, tp, fp = _tie_groups(labels, scores)
+    recall = tp / tp[-1]
+    precision = tp / (tp + fp)
+    # a running sum, so the terms are added in threshold order
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def confusion_at(labels, scores, threshold: float) -> tuple[int, int, int, int]:
@@ -114,17 +103,7 @@ class EvalReport:
             raise ParameterError("confusion counts do not add up to class counts")
 
     def to_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "average_precision": self.average_precision,
-            "threshold": self.threshold,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-        }
+        return asdict(self)
 
     @classmethod
     def from_scores(cls, labels, scores, threshold: float) -> "EvalReport":

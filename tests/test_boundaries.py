@@ -81,6 +81,31 @@ class TestClassifyNnFlags:
         assert not (tmp_path / "nn" / "nn_evaluation.json").exists()
 
 
+class TestFeatureCsv:
+    def classify_edited(self, trained, tmp_path, edit) -> int:
+        corpus, model = trained
+        assert main(["features", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "features.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[3].startswith("index,")  # three provenance lines, then the header
+        lines[5] = edit(lines[5].split(","))  # line 6 of the file
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return main(["classify-nn", "--features", str(path), "--labels", str(corpus),
+                     "--out", str(tmp_path / "nn")])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_3(self, trained, tmp_path, capsys, value):
+        code = self.classify_edited(trained, tmp_path,
+                                    lambda row: ",".join(row[:-1] + [value]))
+        assert code == 3
+        assert "features.csv:6: non-finite" in capsys.readouterr().err
+
+    def test_short_row_exits_3(self, trained, tmp_path, capsys):
+        assert self.classify_edited(trained, tmp_path, lambda row: ",".join(row[:-1])) == 3
+        assert "features.csv:6:" in capsys.readouterr().err
+
+
 class TestParams:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):

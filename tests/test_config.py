@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hmm_ensemble import EnsembleConfig, MlpConfig, TrainConfig
 from hmm_ensemble.cli import main
 from hmm_ensemble.config import (
+    SECTIONS,
     DataConfig,
     RunConfig,
     load_run_config,
@@ -21,8 +23,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 README_RESOLVED = """\
 data.imbalance_ratio = 0.0
 data.imbalance_seed = 1234
-data.label_column = label
-data.sequence_column = sequence
 data.train_csv = train.csv
 ensemble.master_seed = 42
 ensemble.n_neg_models = 250
@@ -43,6 +43,14 @@ mlp.seed = 0
 
 def field_names(cls, *excluded):
     return {f.name for f in dataclasses.fields(cls)} - set(excluded)
+
+
+FLOAT_KEYS = [
+    (section, name)
+    for section, (cls, excluded) in SECTIONS.items()
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind is float and name not in excluded
+]
 
 
 class TestConfigLayer:
@@ -84,6 +92,21 @@ class TestConfigLayer:
         path.write_text("[data]\ncalibration_fraction = 0.2\n", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "calibration_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sequence_column", "label_column"])
+    def test_column_keys_are_gone(self, tmp_path, capsys, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[data]\n{key} = sequence\n", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
 
     def test_unknown_section_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

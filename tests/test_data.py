@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hmm_ensemble import DataError, ParameterError, load_csv, split, subsample_imbalance
-from hmm_ensemble.data import read_csv_rows
 
 
 def write_csv(tmp_path, rows, header="sequence,label"):
@@ -48,16 +47,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r":3:"):
             load_csv(path)
 
+    def test_line_numbers_count_comment_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# config_hash=x\nsequence,label\nACC,1\nCAA,2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r":4:"):
+            load_csv(path)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# config_hash=x\nsequence,label\nACC,1\nCAA,0\n", encoding="utf-8")
         ds = load_csv(path)
         assert len(ds) == 2
-
-    def test_custom_columns(self, tmp_path):
-        path = write_csv(tmp_path, ["x,ACGT,1"], header="id,dna,cls")
-        texts, labels = read_csv_rows(path, seq_column="dna", label_column="cls")
-        assert texts == ["ACGT"] and labels == [1]
 
 
 def toy_dataset(tmp_path, n_pos=20, n_neg=100, seed=0):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hmm_ensemble import (
@@ -279,6 +281,29 @@ class TestScoring:
         assert np.allclose(feats, ll / norms, atol=1e-12)
 
 
+class TestScoringProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_scores_ignore_model_order_within_class(self, data):
+        # models drawn with repeats from a small pool, so log-likelihood ties occur
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pool = [oracles.random_model(rng, n, 3) for n in (1, 2, 3)]
+        pick = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+        pos = [pool[i] for i in data.draw(pick)]
+        neg = [pool[i] for i in data.draw(pick)]
+
+        def ensemble(pos, neg):
+            config = EnsembleConfig(n_pos_models=len(pos), n_neg_models=len(neg))
+            return EnsembleModel(pos, neg, Vocabulary("abc"), config,
+                                 seeds=[(0, 0)] * (len(pos) + len(neg)))
+
+        pos_order = data.draw(st.permutations(range(len(pos))))
+        neg_order = data.draw(st.permutations(range(len(neg))))
+        reordered = ensemble([pos[i] for i in pos_order], [neg[i] for i in neg_order])
+        corpus = [rng.integers(0, 3, size=int(rng.integers(1, 8))) for _ in range(6)]
+        assert score_corpus(reordered, corpus) == score_corpus(ensemble(pos, neg), corpus)
+
+
 class TestSingleton:
     def test_identical_models_always_zero(self):
         model = oracles.random_model(np.random.default_rng(0), 2, 3)
@@ -337,6 +362,17 @@ class TestThreshold:
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError):
             choose_threshold([1, 2], [1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_matches_scan_oracle_on_ties(self, data):
+        n = data.draw(st.integers(2, 40))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
+            lambda ls: 0 < sum(ls) < len(ls)))
+        top = data.draw(st.integers(0, 5))  # at most 6 distinct scores: many ties
+        scores = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        want, _ = oracles.brute_best_f1_threshold(scores, labels)
+        assert choose_threshold(scores, labels) == want
 
 
 class TestClassify:

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hmm_ensemble import EvalReport, ParameterError, average_precision, confusion_at, roc_auc
+from hmm_ensemble import (
+    EvalReport,
+    ParameterError,
+    average_precision,
+    choose_threshold,
+    confusion_at,
+    roc_auc,
+)
 
 
 FOUR_POINT_LABELS = [0, 0, 1, 1]
@@ -106,6 +113,25 @@ class TestOracleEquivalence:
         assert average_precision(labels, scores) == pytest.approx(
             oracles.brute_average_precision(labels, scores), abs=1e-12
         )
+
+
+class TestRejection:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_non_finite_scores_and_labels_outside_0_1_raise(self, data):
+        n = data.draw(st.integers(2, 20))
+        labels = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                             max_size=n - 2))
+        scores = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        i = data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            scores[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            labels[i] = data.draw(st.sampled_from([2, -1, 0.5, np.nan]))
+        for metric in (roc_auc, average_precision,
+                       lambda labels, scores: choose_threshold(scores, labels)):
+            with pytest.raises(ParameterError):
+                metric(labels, scores)
 
 
 class TestConfusion:
