@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -68,8 +69,9 @@ def _reject_constant(name: str):
 def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
     """Returns the model and whatever provenance block the file carries.
 
-    Any file that does not parse into a valid model, or whose provenance
-    block or its ``dataset`` entry is not an object, is a data error.
+    Any file that does not parse into a valid model, whose provenance
+    block or its ``dataset`` entry is not an object, or whose
+    ``config_hash`` is not a string of hex digits, is a data error.
     """
     with open(_require_file(path), encoding="utf-8") as fh:
         try:
@@ -80,6 +82,11 @@ def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
     provenance = payload.get("provenance", {})
     if not isinstance(provenance, dict) or not isinstance(provenance.get("dataset", {}), dict):
         raise DataError(f"{path}: invalid model (provenance and its dataset must be objects)")
+    cfg_hash = provenance.get("config_hash")
+    if "config_hash" in provenance and not (
+        isinstance(cfg_hash, str) and re.fullmatch("[0-9a-f]+", cfg_hash)
+    ):
+        raise DataError(f"{path}: invalid model (config_hash must be a hex string)")
     return model, provenance
 
 
@@ -153,17 +160,22 @@ def _report_payload(report: EvalReport) -> dict:
     return payload
 
 
-def _model_hash_seed(model: ens.EnsembleModel) -> tuple[str, int]:
+def _model_hash_seed(model: ens.EnsembleModel, provenance: dict) -> tuple[str, int]:
+    """The config hash train stored in the model file, so every output of a
+    run carries the same one; a file without it gets a hash of its ensemble
+    config."""
+    if "config_hash" in provenance:
+        return provenance["config_hash"], model.config.master_seed
     text = json.dumps(model.config.to_dict(), sort_keys=True)
     return config_hash(text), model.config.master_seed
 
 
 def cmd_score(args) -> int:
-    model, _ = _load_model(args.model)
+    model, provenance = _load_model(args.model)
     sequences, _ = _load_corpus(model, args.data, labels_required=False)
     ll = ens.log_likelihood_matrix(model, sequences)
     scores = ens.matchup_scores(model, ll)
-    cfg_hash, seed = _model_hash_seed(model)
+    cfg_hash, seed = _model_hash_seed(model, provenance)
     header = (
         ["index", "composite_score"]
         + [f"loglik_pos_{i}" for i in range(model.config.n_pos_models)]
@@ -183,7 +195,7 @@ def cmd_evaluate(args) -> int:
     sequences, labels = _load_corpus(model, args.data, labels_required=True)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         raise DataError("labeled corpus must contain both classes")
-    cfg_hash, seed = _model_hash_seed(model)
+    cfg_hash, seed = _model_hash_seed(model, model_prov)
     if args.seed is not None:
         seed = args.seed
     if not 0.0 < args.calibration_fraction < 1.0:
@@ -213,10 +225,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    model, _ = _load_model(args.model)
+    model, provenance = _load_model(args.model)
     sequences, _ = _load_corpus(model, args.data, labels_required=False)
     feats = ens.feature_vectors(model, sequences)
-    cfg_hash, seed = _model_hash_seed(model)
+    cfg_hash, seed = _model_hash_seed(model, provenance)
     header = ["index"] + [f"f{i}" for i in range(feats.shape[1])]
     rows = [[i] + [repr(float(v)) for v in row] for i, row in enumerate(feats)]
     out = _out_dir(args)
@@ -226,9 +238,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    model, _ = _load_model(args.model)
+    model, provenance = _load_model(args.model)
     sim = similarity_matrix(model)
-    cfg_hash, seed = _model_hash_seed(model)
+    cfg_hash, seed = _model_hash_seed(model, provenance)
     path = _out_dir(args) / "similarity.csv"
     header, *rows = sim.to_rows()
     _write_csv(path, header, rows, cfg_hash, seed)
@@ -237,11 +249,11 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model, _ = _load_model(args.model)
+    model, provenance = _load_model(args.model)
     if args.count < 1 or args.length < 1:
         raise ParameterError("--count and --length must be >= 1")
     members = model.positive_models if args.label == 1 else model.negative_models
-    cfg_hash, seed = _model_hash_seed(model)
+    cfg_hash, seed = _model_hash_seed(model, provenance)
     if args.seed is not None:
         seed = args.seed
     rng = np.random.default_rng(seed)
@@ -299,13 +311,18 @@ def cmd_classify_nn(args) -> int:
     labels = _read_labels(args.labels)
     if features.shape[0] != labels.shape[0]:
         raise DataError("feature and label row counts differ")
-    config = cfg.mlp_config(input_dim=features.shape[1])
-    model = mlp_mod.mlp_train(features, labels, config)
     if args.eval_features is None:
         eval_x, eval_y = features, labels
     else:
         eval_x = _read_feature_csv(args.eval_features)
         eval_y = _read_labels(args.eval_labels)
+        if eval_x.shape[0] != eval_y.shape[0]:
+            raise DataError("eval feature and eval label row counts differ")
+        if eval_x.shape[1] != features.shape[1]:
+            raise DataError(f"eval features are {eval_x.shape[1]} wide, "
+                            f"training features {features.shape[1]}")
+    config = cfg.mlp_config(input_dim=features.shape[1])
+    model = mlp_mod.mlp_train(features, labels, config)
     scores = mlp_mod.mlp_predict(model, eval_x)
     report = EvalReport.from_scores(eval_y, scores, threshold=0.5)
     out = _out_dir(args)

@@ -113,7 +113,8 @@ def _parse(section: str, key: str, raw: str):
 
 
 def load_run_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a '%' in a path is a character, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

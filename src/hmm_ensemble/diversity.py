@@ -58,27 +58,24 @@ def stationary_distribution(A) -> StationaryResult:
     """Fixed point of v @ A = v by power iteration from the uniform vector.
 
     Reducible or periodic chains cannot be iterated plainly; those (and any
-    chain that fails to converge within the iteration cap) fall back to an
-    iteration damped toward uniform and come back flagged degenerate.
+    chain that fails to converge within the iteration cap) come back flagged
+    degenerate with the exact fixed point of the chain damped toward uniform,
+    v = (1 - d) v A + d / n, from one linear solve.
     """
     A = _check_stochastic(A)
     n = A.shape[0]
-    uniform = np.full(n, 1.0 / n)
-    degenerate = not _is_primitive(A)
-    v = uniform
-    for _ in range(_POWER_CAP):
-        if degenerate:
-            nxt = (1.0 - _DAMPING) * (v @ A) + _DAMPING * uniform
-        else:
+    if _is_primitive(A):
+        v = np.full(n, 1.0 / n)
+        for _ in range(_POWER_CAP):
             nxt = v @ A
-        if np.abs(nxt - v).sum() < _POWER_TOL:
+            if np.abs(nxt - v).sum() < _POWER_TOL:
+                v = np.maximum(nxt, 0.0)
+                return StationaryResult(v / v.sum(), False)
             v = nxt
-            break
-        v = nxt
-    else:
-        degenerate = True
+    # I - (1 - d) A is nonsingular: every eigenvalue of (1 - d) A is below 1 in size
+    v = np.linalg.solve((np.eye(n) - (1.0 - _DAMPING) * A).T, np.full(n, _DAMPING / n))
     v = np.maximum(v, 0.0)
-    return StationaryResult(v / v.sum(), degenerate)
+    return StationaryResult(v / v.sum(), True)
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:
@@ -96,12 +93,60 @@ def hellinger(p, q) -> float:
     q = _check_prob_vector(q, "q")
     if p.shape != q.shape:
         raise ParameterError("distributions must have equal length")
-    return _hellinger_raw(p, q)
+    return float(_hellinger_matrix(p[None, :], q[None, :])[0, 0])
 
 
-def _hellinger_raw(p: np.ndarray, q: np.ndarray) -> float:
-    d = math.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)) / math.sqrt(2.0)
-    return min(d, 1.0)
+def _hellinger_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Hellinger distances between every row of P and every row of Q."""
+    diff = np.sqrt(P)[:, None, :] - np.sqrt(Q)[None, :, :]
+    return np.minimum(np.sqrt(np.sum(diff**2, axis=2)) / math.sqrt(2.0), 1.0)
+
+
+def _assignment(cost: list[list[float]]) -> list[int]:
+    """Distinct columns for the rows of an r x c cost (r <= c) at least total cost.
+
+    Kuhn-Munkres by shortest augmenting paths with row and column potentials
+    (Kuhn 1955; Munkres 1957), O(r^2 c). Rows join in ascending order, each
+    growing a shortest path tree over the columns. The scan starts at the
+    highest column and drops each settled column by swapping in the last
+    unsettled one; an exact tie goes to an unassigned column, else to the
+    column scanned first. Tied similarity cells depend on this order.
+    """
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col = [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        dist, path = [math.inf] * n_cols, [-1] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, low = cur, 0.0
+        while True:
+            seen_rows.append(i)
+            lowest, best = math.inf, -1
+            for k, j in enumerate(remaining):
+                d = low + cost[i][j] - u[i] - v[j]
+                if d < dist[j]:
+                    dist[j], path[j] = d, i
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] < 0):
+                    lowest, best = dist[j], k
+            low, j = lowest, remaining[best]
+            remaining[best] = remaining[-1]
+            remaining.pop()
+            seen_cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += low
+        for i in seen_rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for k in seen_cols:
+            v[k] -= low - dist[k]
+        i = -1
+        while i != cur:  # flip the path from the free column j back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
 
 
 def hmm_distance(a: HmmParams, b: HmmParams) -> float:
@@ -123,29 +168,23 @@ def hmm_distance(a: HmmParams, b: HmmParams) -> float:
 def _hmm_distance_weighted(
     B_a: np.ndarray, B_b: np.ndarray, v_a: np.ndarray, v_b: np.ndarray
 ) -> float:
-    n_a, n_b = B_a.shape[0], B_b.shape[0]
-    sqrt_a = np.sqrt(B_a)
-    sqrt_b = np.sqrt(B_b)
-    cost = np.empty((n_a, n_b))
-    for i in range(n_a):
-        d = np.sqrt(np.sum((sqrt_a[i][None, :] - sqrt_b) ** 2, axis=1)) / math.sqrt(2.0)
-        cost[i] = np.minimum(d, 1.0)
-    # scipy.optimize takes most of a second to import; only this step needs it
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
+    # The smaller model's states go into the larger model's. Matched terms
+    # are summed in ascending state order of a, the unmatched mass of the
+    # larger model in ascending state order.
+    cost = _hellinger_matrix(B_a, B_b)
+    if len(v_a) <= len(v_b):
+        rows = np.arange(len(v_a))
+        cols = np.array(_assignment(cost.tolist()))
+        v_big, taken = v_b, cols
+    else:
+        to_a = np.array(_assignment(cost.T.tolist()))
+        rows, cols = np.sort(to_a), np.argsort(to_a)
+        v_big, taken = v_a, rows
     weights = (v_a[rows] + v_b[cols]) / 2.0
     total = float(np.sum(weights * cost[rows, cols]))
     weight_sum = float(weights.sum())
-    if n_a > n_b:
-        unmatched = np.setdiff1d(np.arange(n_a), rows)
-        total += float(v_a[unmatched].sum())
-        weight_sum += float(v_a[unmatched].sum())
-    elif n_b > n_a:
-        unmatched = np.setdiff1d(np.arange(n_b), cols)
-        total += float(v_b[unmatched].sum())
-        weight_sum += float(v_b[unmatched].sum())
-    return total / weight_sum
+    unmatched = float(np.delete(v_big, taken).sum())
+    return (total + unmatched) / (weight_sum + unmatched)
 
 
 @dataclass

@@ -5,6 +5,8 @@ pairs, thresholds) in plain probability space, deliberately sharing no
 code path with the library's dynamic programs.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -119,6 +121,18 @@ def brute_best_f1_threshold(scores, labels):
         if f1 >= best_f1:
             best_t, best_f1 = t, f1
     return best_t, best_f1
+
+
+def brute_assignment(cost, tol=1e-12):
+    """Least total cost over every injective map of the rows of cost into its
+    columns, and every map within tol of it (all of them when costs tie).
+    Each map is a tuple holding the column of each row."""
+    cost = np.asarray(cost, dtype=float)
+    r, c = cost.shape
+    maps = list(itertools.permutations(range(c), r))
+    totals = [sum(cost[i, j] for i, j in enumerate(m)) for m in maps]
+    best = min(totals)
+    return best, [m for m, t in zip(maps, totals) if t <= best + tol]
 
 
 def random_model(rng, n, m):

@@ -4,14 +4,28 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmm_ensemble
-from hmm_ensemble import HmmParams, ParameterError, average_precision, roc_auc
-from hmm_ensemble.cli import main
+import oracles
+from hmm_ensemble import (
+    EnsembleConfig,
+    EnsembleModel,
+    HmmParams,
+    ParameterError,
+    TrainConfig,
+    Vocabulary,
+    average_precision,
+    mlp,
+    roc_auc,
+)
+from hmm_ensemble.cli import _load_model, _write_json, main
 from test_cli import write_config, write_corpus
 
 
@@ -65,6 +79,59 @@ class TestModelFile:
         assert score_edited(trained, tmp_path, lambda p: p.update(provenance=provenance)) == 3
         assert "provenance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg_hash", [5, None, "1d34\n# master_seed=0"])
+    def test_config_hash_not_a_hex_string_exits_3(self, trained, tmp_path, capsys, cfg_hash):
+        def edit(payload):
+            payload["provenance"]["config_hash"] = cfg_hash
+
+        assert score_edited(trained, tmp_path, edit) == 3
+        assert "config_hash" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "scores.csv").exists()
+
+
+@st.composite
+def model_payloads(draw):
+    """A model.json payload: a random ensemble and a provenance block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = draw(st.lists(st.characters(), min_size=2, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n_pos, n_neg = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = st.integers(0, 2**64 - 1)
+    train = TrainConfig(n_states=counts[0], max_iters=draw(st.integers(1, 50)),
+                        tol=draw(st.floats(0.0, 1.0)), seed=draw(seed),
+                        floor=draw(st.floats(0.0, 1e-3)))
+    config = EnsembleConfig(n_pos_models=n_pos, n_neg_models=n_neg,
+                            subset_fraction=draw(st.floats(1e-9, 1.0)),
+                            state_counts=tuple(counts), train=train, master_seed=draw(seed))
+    models = [oracles.random_model(rng, counts[k % len(counts)], len(tokens))
+              for k in range(n_pos + n_neg)]
+    model = EnsembleModel(models[:n_pos], models[n_pos:], Vocabulary(tokens), config,
+                          seeds=[(draw(seed), draw(seed)) for _ in models])
+    payload = model.to_dict()
+    payload["provenance"] = {
+        "config_hash": draw(st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)),
+        "master_seed": config.master_seed,
+        "dataset": {"source": draw(st.text()), "imbalance_ratio": draw(st.floats(0.0, 1e3))},
+    }
+    return model, payload
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(model_payloads())
+    def test_model_json(self, drawn):
+        model, payload = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            _write_json(first, payload)
+            loaded, provenance = _load_model(str(first))
+            assert loaded.to_dict() == model.to_dict()
+            assert (loaded.config, loaded.vocabulary, loaded.seeds) == (
+                model.config, model.vocabulary, model.seeds)
+            assert provenance == payload["provenance"]
+            _write_json(second, {**loaded.to_dict(), "provenance": provenance})
+            assert second.read_bytes() == first.read_bytes()
+
 
 class TestClassifyNnFlags:
     @pytest.mark.parametrize("given, missing", [("--eval-features", "--eval-labels"),
@@ -79,6 +146,36 @@ class TestClassifyNnFlags:
                      given, value, "--out", str(tmp_path / "nn")]) == 2
         assert missing in capsys.readouterr().err
         assert not (tmp_path / "nn" / "nn_evaluation.json").exists()
+
+    @pytest.mark.parametrize("mismatch", ["rows", "width"])
+    def test_eval_mismatch_exits_3_before_training(self, trained, tmp_path, capsys,
+                                                   monkeypatch, mismatch):
+        corpus, model = trained
+        assert main(["features", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "features.csv").read_text(encoding="utf-8").splitlines()
+        if mismatch == "rows":  # one eval label short of the eval features
+            labels = corpus.read_text(encoding="utf-8").splitlines()
+            eval_labels = tmp_path / "eval_labels.csv"
+            eval_labels.write_text("\n".join(labels[:-1]) + "\n", encoding="utf-8")
+            eval_features = tmp_path / "features.csv"
+        else:  # eval features one column narrower than the training features
+            eval_labels = corpus
+            eval_features = tmp_path / "narrow.csv"
+            eval_features.write_text(
+                "\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0]
+                          for line in lines) + "\n",
+                encoding="utf-8")
+
+        def no_training(*args):
+            raise AssertionError("mlp_train ran")
+
+        monkeypatch.setattr(mlp, "mlp_train", no_training)
+        assert main(["classify-nn", "--features", str(tmp_path / "features.csv"),
+                     "--labels", str(corpus), "--eval-features", str(eval_features),
+                     "--eval-labels", str(eval_labels), "--out", str(tmp_path / "nn")]) == 3
+        assert "eval" in capsys.readouterr().err
+        assert not (tmp_path / "nn" / "mlp.json").exists()
 
 
 class TestFeatureCsv:
@@ -135,9 +232,20 @@ def test_generate_without_seed_is_reproducible(trained, tmp_path):
     assert b"# master_seed=7\n" in first  # the model's master seed
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def test_cli_import_leaves_scipy_optimize_out(trained, tmp_path):
+    # numpy is the only runtime dependency: a diversity run loads no scipy module
+    _, model = trained
     src = str(Path(hmm_ensemble.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, hmm_ensemble.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys\n"
+        "from hmm_ensemble.cli import main\n"
+        "code = main(['diversity', '--model', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.exit(code or (f'scipy modules loaded: {loaded}' if loaded else 0))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, str(model), str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "similarity.csv").is_file()

@@ -254,6 +254,23 @@ class TestDiversity:
             assert float(cells[1 + i]) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestProvenance:
+    def test_outputs_carry_the_model_config_hash(self, workspace, tmp_path):
+        root, _, out = workspace
+        model = str(out / "model.json")
+        want = json.loads((out / "model.json").read_text())["provenance"]["config_hash"]
+        for argv in (["score", "--data", str(root / "train.csv")],
+                     ["features", "--data", str(root / "train.csv")],
+                     ["evaluate", "--data", str(root / "train.csv")],
+                     ["diversity"]):
+            assert main(argv + ["--model", model, "--out", str(tmp_path)]) == 0
+        for name in ("scores.csv", "features.csv", "similarity.csv"):
+            first = (tmp_path / name).read_text().splitlines()[0]
+            assert first == f"# config_hash={want}"
+        report = json.loads((tmp_path / "evaluation.json").read_text())
+        assert report["provenance"]["config_hash"] == want
+
+
 class TestGenerate:
     def test_deterministic_and_loadable(self, workspace, tmp_path):
         _, _, out = workspace

@@ -1,10 +1,13 @@
 import dataclasses
 import re
+import tempfile
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmm_ensemble import EnsembleConfig, MlpConfig, TrainConfig
 from hmm_ensemble.cli import main
@@ -53,7 +56,62 @@ FLOAT_KEYS = [
 ]
 
 
+def write_ini(cfg: RunConfig, path: Path) -> None:
+    lines = []
+    for section, values in cfg.sections.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            if value is not None:  # None is the absence of the key
+                lines.append(f"{key} = {value}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Values of each field type; paths hold no whitespace, '#' or ';', which
+# would start an inline comment.
+VALUES = {
+    int: st.integers(-(2**63), 2**64),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    tuple[int, ...]: st.lists(st.integers(1, 999), min_size=1, max_size=4).map(tuple),
+    str | None: st.none() | st.text(alphabet="abcXYZ019/._-%:=\u00e9", min_size=1),
+}
+
+
+def run_configs():
+    """Every key of every section, in the order RunConfig keeps them."""
+    layout = RunConfig().sections
+    drawn = st.fixed_dictionaries({
+        section: st.fixed_dictionaries({
+            name: VALUES[typing.get_type_hints(SECTIONS[section][0])[name]]
+            for name in values
+        })
+        for section, values in layout.items()
+    })
+    return drawn.map(lambda d: RunConfig(
+        sections={section: {name: d[section][name] for name in values}
+                  for section, values in layout.items()}))
+
+
+def percent_path_config():
+    cfg = RunConfig()
+    cfg.sections["data"]["train_csv"] = "data/100%_%(x)s.csv"
+    return cfg
+
+
 class TestConfigLayer:
+    @settings(max_examples=80, deadline=None)
+    @given(run_configs())
+    @example(percent_path_config())
+    def test_ini_round_trip(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.ini", Path(tmp) / "second.ini"
+            write_ini(cfg, first)
+            loaded = load_run_config(first)
+            assert loaded == cfg
+            write_ini(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+
     def test_readme_example_resolves_to_pinned_text(self, tmp_path):
         example = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         path = tmp_path / "run.ini"

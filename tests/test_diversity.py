@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hmm_ensemble import (
@@ -13,6 +15,7 @@ from hmm_ensemble import (
     stationary_distribution,
     train_ensemble,
 )
+from hmm_ensemble.diversity import _assignment
 from test_ensemble import small_config, synthetic_dataset
 
 
@@ -31,6 +34,13 @@ class TestStationary:
         res = stationary_distribution([[0.0, 1.0], [1.0, 0.0]])
         assert res.degenerate
         assert res.dist == pytest.approx([0.5, 0.5], abs=1e-9)
+
+    def test_periodic_three_state_chain_is_stationary(self):
+        A = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        res = stationary_distribution(A)
+        assert res.degenerate
+        assert res.dist == pytest.approx([0.25, 0.5, 0.25], abs=1e-7)
+        assert np.abs(res.dist @ A - res.dist).sum() < 1e-7
 
     def test_analytic_two_state(self):
         # v A = v solves to [5/6, 1/6]
@@ -89,6 +99,70 @@ class TestHellinger:
     def test_invalid_vector(self):
         with pytest.raises(ParameterError):
             hellinger([0.5, 0.6], [0.5, 0.5])
+
+
+def cost_matrices(elements):
+    """r x c cost matrices as nested lists, 1 <= r <= c <= 6."""
+    shape = st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 6)))
+    return shape.flatmap(lambda rc: st.lists(
+        st.lists(elements, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]))
+
+
+class TestAssignment:
+    def check(self, cost):
+        cols = _assignment(cost)
+        assert len(cols) == len(cost)
+        assert len(set(cols)) == len(cols)
+        best, _ = oracles.brute_assignment(cost)
+        return sum(cost[i][j] for i, j in enumerate(cols)), best
+
+    # Among tied least-cost maps, the one the similarity matrix has always
+    # used; a constant cost maps row i to column i.
+    @pytest.mark.parametrize("cost, cols", [
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 1, 2]),
+        ([[1, 1, 1, 0], [1, 1, 1, 0], [0, 1, 0, 1]], [3, 1, 0]),
+        ([[1, 1, 1, 1], [0, 0, 0, 0], [0, 1, 1, 1]], [2, 1, 0]),
+        ([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]], [2, 0, 1]),
+        ([[1, 1, 1, 0], [0, 1, 1, 0], [0, 1, 1, 1]], [3, 0, 2]),
+    ])
+    def test_tie_choice(self, cost, cols):
+        assert _assignment([[float(c) for c in row] for row in cost]) == cols
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices(st.integers(0, 3).map(float)))
+    def test_small_integer_costs_with_ties(self, cost):
+        total, best = self.check(cost)
+        assert total == best
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices(st.floats(0.0, 1.0)))
+    def test_float_costs(self, cost):
+        total, best = self.check(cost)
+        assert total == pytest.approx(best, abs=1e-12)
+
+
+def tied_model(rng, n, m):
+    """Random model whose emission rows are often the same floored one-hot row."""
+    model = oracles.random_model(rng, n, m)
+    floored = oracles.floor_renormalize(np.eye(m), 1e-10)
+    B = [floored[rng.integers(m)] if rng.random() < 0.5 else row for row in model.B]
+    return HmmParams(model.pi, model.A, B)
+
+
+def oracle_distances(a, b):
+    """The distance built from each of the oracle's least-cost matchings."""
+    v_a = stationary_distribution(a.A).dist
+    v_b = stationary_distribution(b.A).dist
+    cost = np.array([[hellinger(p, q) for q in b.B] for p in a.B])
+    flip = a.n > b.n  # the smaller model's states go into the larger model's
+    _, maps = oracles.brute_assignment(cost.T if flip else cost)
+    for m in maps:
+        pairs = [(j, i) if flip else (i, j) for i, j in enumerate(m)]
+        matched = sum((v_a[i] + v_b[j]) / 2 * cost[i, j] for i, j in pairs)
+        weight = sum((v_a[i] + v_b[j]) / 2 for i, j in pairs)
+        v_big, used = (v_a, {i for i, _ in pairs}) if flip else (v_b, {j for _, j in pairs})
+        rest = sum(v for k, v in enumerate(v_big) if k not in used)
+        yield (matched + rest) / (weight + rest)
 
 
 def two_state(B_rows, A=None):
@@ -164,6 +238,14 @@ class TestHmmDistance:
         d = hmm_distance(a, b)
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(hmm_distance(b, a), abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_matches_oracle_assignment(self, n_a, n_b, m, seed):
+        rng = np.random.default_rng(seed)
+        a, b = tied_model(rng, n_a, m), tied_model(rng, n_b, m)
+        got = hmm_distance(a, b)
+        assert min(abs(got - d) for d in oracle_distances(a, b)) <= 1e-12
 
     def test_vocabulary_mismatch(self):
         rng = np.random.default_rng(7)
