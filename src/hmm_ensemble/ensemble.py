@@ -26,7 +26,7 @@ from .hmm import (
     TrainConfig,
     Vocabulary,
     _check_sequence,
-    _group_by_length,
+    _length_blocks,
     baum_welch,
     forward_batch,
     log_likelihood,
@@ -273,8 +273,8 @@ def matchup_count(pos_loglik: np.ndarray, neg_loglik: np.ndarray) -> int:
 def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
     """(n_sequences, N+M) matrix of log-likelihoods, positive models first.
 
-    Sequences are grouped by length so each model scores a whole group in
-    one vectorized forward pass.
+    Sequences go in blocks of similar length, so each model scores a whole
+    block in one vectorized forward pass.
     """
     if len(corpus) == 0:
         raise ParameterError("corpus must be non-empty")
@@ -287,9 +287,9 @@ def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
             raise type(exc)(f"sequence {i}: {exc}") from None
     models = ensemble.models
     out = np.empty((len(checked), len(models)))
-    for idx, obs in _group_by_length(checked):
+    for idx, obs, lengths in _length_blocks(checked):
         for j, model in enumerate(models):
-            out[idx, j] = forward_batch(model, obs)
+            out[idx, j] = forward_batch(model, obs, lengths)
     return out
 
 

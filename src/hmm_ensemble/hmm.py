@@ -6,6 +6,13 @@ forward-backward pass (Rabiner 1989, Sec. V.A); and generative sampling.
 Everything here is pure with respect to the model: parameters are immutable
 after construction, training returns a new model, and random state is
 always passed in explicitly.
+
+Scoring and training run their recursions over ``_length_blocks``: rows in
+descending length order, cut into blocks whose rows are all longer than
+half the block's longest. A block is one padded S x T array, so padding at
+most doubles its cells and memory follows the tokens, never the row count
+times the longest row; step t advances only the rows longer than t, so a
+corpus of many lengths takes a few recursions instead of one per length.
 """
 
 from __future__ import annotations
@@ -195,13 +202,23 @@ def _log_params(model: HmmParams):
         return np.log(model.pi), np.log(model.A), np.log(model.B.T)
 
 
-def forward_batch(model: HmmParams, obs: np.ndarray) -> np.ndarray:
-    """Log-likelihood of each row of ``obs`` (an S x T id array)."""
+def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray:
+    """Log-likelihood of each row of ``obs`` (an S x T id array).
+
+    ``lengths`` gives each row's own length, in non-increasing order; ids
+    past a row's end are padding and are never read. Without it every row
+    is T long.
+    """
+    if lengths is None:
+        lengths = np.full(obs.shape[0], obs.shape[1])
     log_pi, log_A, log_Bt = _log_params(model)
     alpha = log_pi[None, :] + log_Bt[obs[:, 0]]
-    for t in range(1, obs.shape[1]):
-        alpha = logsumexp(alpha[:, :, None] + log_A[None, :, :], axis=1)
-        alpha += log_Bt[obs[:, t]]
+    for k, t0, t1 in _live_runs(lengths):
+        a, o = alpha[:k], obs[:k]
+        for t in range(t0, t1):
+            a = logsumexp(a[:, :, None] + log_A[None, :, :], axis=1)
+            a += log_Bt[o[:, t]]
+        alpha[:k] = a
     return logsumexp(alpha, axis=1)
 
 
@@ -232,55 +249,90 @@ def viterbi(model: HmmParams, seq) -> tuple[np.ndarray, float]:
     return path, float(delta[path[-1]])
 
 
-def _group_by_length(sequences: list[TokenSequence]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row indices, S x T stacked array) for each distinct sequence length.
+def _length_blocks(
+    sequences: list[TokenSequence],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(row indices, S x T padded ids, lengths) for each block of similar lengths.
 
-    Stacking lets the forward pass and the E-step vectorize over a group.
-    Group order (ascending length) and row order within a group (input
-    order) are fixed, so accumulation order, and hence the floating-point
-    result, never depends on input ordering tricks.
+    Rows go in descending length order (a stable sort, so equal lengths
+    keep input order), and a block ends before the first row no longer than
+    half its first. So every row of a block is longer than T/2, and padding
+    at most doubles its cells. The blocks depend on the lengths alone, so
+    accumulation order, and hence the floating-point result, is fixed.
     """
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(sequences):
-        by_len.setdefault(seq.shape[0], []).append(i)
-    return [
-        (np.array(idx), np.stack([sequences[i] for i in idx]))
-        for _, idx in sorted(by_len.items())
-    ]
+    lengths = np.array([seq.shape[0] for seq in sequences])
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    blocks, lo = [], 0
+    while lo < order.size:
+        # the block ends before the first row with 2 * length <= its first length
+        hi = int(np.searchsorted(-2 * ranked, -ranked[lo], side="left"))
+        idx = order[lo:hi]
+        obs = np.zeros((idx.size, ranked[lo]), dtype=np.int64)
+        for row, k in enumerate(idx):
+            obs[row, : lengths[k]] = sequences[k]
+        blocks.append((idx, obs, ranked[lo:hi]))
+        lo = hi
+    return blocks
 
 
-def _e_step(model: HmmParams, groups: list[np.ndarray]):
+def _live_runs(lengths) -> list[tuple[int, int, int]]:
+    """(k, t0, t1): steps t0..t1-1 advance only the first k rows.
+
+    Those are the rows longer than t, given rows in non-increasing length
+    order. One run covers every step of a single-length block.
+    """
+    last = np.flatnonzero(np.diff(lengths)).tolist() + [len(lengths) - 1]
+    runs, t0 = [], 1
+    for i in reversed(last):  # the last row of each length, shortest first
+        t1 = int(lengths[i])
+        if t1 > t0:
+            runs.append((i + 1, t0, t1))
+            t0 = t1
+    return runs
+
+
+def _e_step(model: HmmParams, blocks):
     """Pooled expected counts and total log-likelihood over all sequences.
 
-    Scaled forward-backward (Rabiner 1989, Sec. V.A), time-major per group:
-    alpha[t] sums to 1 per row with normalizer c[t], ln p = sum_t ln c[t],
-    beta shares the scaling, and gamma = alpha * beta. A row with a c[t] of
-    0 is impossible: its log-likelihood is -inf and it adds no counts.
+    Scaled forward-backward (Rabiner 1989, Sec. V.A), time-major per
+    ``_length_blocks`` block: alpha[t] sums to 1 per row with normalizer
+    c[t], ln p = sum_t ln c[t], beta shares the scaling, and
+    gamma = alpha * beta. Past a row's end alpha and beta stay 0 and c stays
+    1, so padding adds nothing. A row with a c[t] of 0 is impossible: its
+    log-likelihood is -inf and it adds no counts.
     """
     n, m = model.n, model.m
     A, Bt = model.A, model.B.T
     ones = np.ones(n)  # a @ ones sums rows faster than a.sum(axis=1) at n <= 5
     pi_counts, trans_counts, emit_counts = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
-    for obs in groups:
+    for _, obs, lengths in blocks:
         obs = obs.T
         T, S = obs.shape
+        runs = _live_runs(lengths)
         Bo = Bt[obs]
-        alpha, c = np.empty((T, S, n)), np.empty((T, S))
+        alpha, c = np.zeros((T, S, n)), np.ones((T, S))
         a = model.pi * Bo[0]
-        for t in range(T):
-            if t:
-                a = (alpha[t - 1] @ A) * Bo[t]
-            c[t] = s = a @ ones
-            alpha[t] = a / np.where(s > 0, s, 1.0)[:, None]
+        c[0] = s = a @ ones
+        alpha[0] = a / np.where(s > 0, s, 1.0)[:, None]
+        for k, t0, t1 in runs:
+            al, cl, bo = alpha[:, :k], c[:, :k], Bo[:, :k]
+            for t in range(t0, t1):
+                a = (al[t - 1] @ A) * bo[t]
+                cl[t] = s = a @ ones
+                al[t] = a / np.where(s > 0, s, 1.0)[:, None]
         with np.errstate(divide="ignore"):
             total_ll += float(np.log(c).sum())
 
         # dividing by c gives beta the scaling of alpha; inf zeroes impossible rows
         Bo /= np.where(c > 0, c, np.inf)[:, :, None]
-        beta = np.ones((T, S, n))
-        for t in range(T - 1, 0, -1):
-            beta[t - 1] = (Bo[t] * beta[t]) @ A.T
+        beta = np.zeros((T, S, n))
+        beta[lengths - 1, np.arange(S)] = 1.0
+        for k, t0, t1 in reversed(runs):
+            be, bo = beta[:, :k], Bo[:, :k]
+            for t in range(t1 - 1, t0 - 1, -1):
+                be[t - 1] = (bo[t] * be[t]) @ A.T
         gamma = alpha * beta
         pi_counts += gamma[0].sum(axis=0)
         xi_right = (Bo[1:] * beta[1:]).reshape(-1, n)
@@ -330,11 +382,11 @@ def baum_welch(
         raise ParameterError("need at least one training sequence")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    groups = [obs for _, obs in _group_by_length(sequences)]
+    blocks = _length_blocks(sequences)
     model = init_random(config.n_states, n_symbols, rng)
     history: list[float] = []
     for _ in range(config.max_iters):
-        counts, total_ll = _e_step(model, groups)
+        counts, total_ll = _e_step(model, blocks)
         if not math.isfinite(total_ll):
             raise NumericError("total log-likelihood is not finite")
         if history and total_ll - history[-1] < config.tol:

@@ -49,12 +49,15 @@ def _tie_groups(
 
 def roc_auc(labels, scores) -> float:
     """P(random positive outranks random negative), ties counting half."""
-    labels, scores = _check_inputs(labels, scores)
-    _, tp, fp = _tie_groups(labels, scores)
+    _, tp, fp = _tie_groups(*_check_inputs(labels, scores))
+    return _auc(tp, fp)
+
+
+def _auc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     # twice each group's midrank: 2 * rows below + group size + 1
     above = tp + fp
-    twice_ranks = 2 * (labels.shape[0] - above) + np.diff(above, prepend=0) + 1
+    twice_ranks = 2 * (n_pos + n_neg - above) + np.diff(above, prepend=0) + 1
     twice_rank_sum = int(np.sum(np.diff(tp, prepend=0) * twice_ranks))
     return (twice_rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg)
 
@@ -62,8 +65,11 @@ def roc_auc(labels, scores) -> float:
 def average_precision(labels, scores) -> float:
     """Sum of precision * recall-increment over descending distinct scores;
     tied scores form one threshold step."""
-    labels, scores = _check_inputs(labels, scores)
-    _, tp, fp = _tie_groups(labels, scores)
+    _, tp, fp = _tie_groups(*_check_inputs(labels, scores))
+    return _average_precision(tp, fp)
+
+
+def _average_precision(tp: np.ndarray, fp: np.ndarray) -> float:
     recall = tp / tp[-1]
     precision = tp / (tp + fp)
     # a running sum, so the terms are added in threshold order
@@ -108,15 +114,16 @@ class EvalReport:
     @classmethod
     def from_scores(cls, labels, scores, threshold: float) -> "EvalReport":
         labels_arr, scores_arr = _check_inputs(labels, scores)
+        _, cum_tp, cum_fp = _tie_groups(labels_arr, scores_arr)
         tp, fp, tn, fn = confusion_at(labels_arr, scores_arr, threshold)
         return cls(
-            auc_roc=roc_auc(labels_arr, scores_arr),
-            average_precision=average_precision(labels_arr, scores_arr),
+            auc_roc=_auc(cum_tp, cum_fp),
+            average_precision=_average_precision(cum_tp, cum_fp),
             threshold=float(threshold),
             tp=tp,
             fp=fp,
             tn=tn,
             fn=fn,
-            n_pos=int(np.sum(labels_arr == 1)),
-            n_neg=int(np.sum(labels_arr == 0)),
+            n_pos=int(cum_tp[-1]),
+            n_neg=int(cum_fp[-1]),
         )

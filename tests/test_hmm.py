@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from hmm_ensemble import (
     DataError,
+    EnsembleConfig,
+    EnsembleModel,
     HmmParams,
     NumericError,
     ParameterError,
@@ -17,11 +20,12 @@ from hmm_ensemble import (
     baum_welch,
     init_random,
     log_likelihood,
+    log_likelihood_matrix,
     sample,
     viterbi,
 )
 from hmm_ensemble import hmm as hmm_mod
-from hmm_ensemble.hmm import _e_step, _group_by_length, forward_batch, logsumexp
+from hmm_ensemble.hmm import _e_step, _length_blocks, forward_batch, logsumexp
 
 
 TWO_STATE = HmmParams(
@@ -338,7 +342,7 @@ def sparse_model_and_corpus(draw):
 
 
 def e_step(model, seqs):
-    return _e_step(model, [obs for _, obs in _group_by_length(seqs)])
+    return _e_step(model, _length_blocks(seqs))
 
 
 class TestEStepProperties:
@@ -357,7 +361,10 @@ class TestEStepProperties:
     def test_total_matches_log_space_forward(self, case):
         model, seqs = case
         _, total = e_step(model, seqs)
-        want = sum(float(forward_batch(model, obs).sum()) for _, obs in _group_by_length(seqs))
+        want = sum(
+            float(forward_batch(model, obs, lengths).sum())
+            for _, obs, lengths in _length_blocks(seqs)
+        )
         if math.isinf(want):
             assert total == want
         else:  # abs covers totals near 0, e.g. a one-symbol vocabulary
@@ -385,3 +392,69 @@ class TestEStepProperties:
         monkeypatch.setattr(hmm_mod, "init_random", lambda n, m, rng: start)
         with pytest.raises(NumericError):
             baum_welch([np.array([0, 1])], 2, TrainConfig(n_states=1, floor=0.0))
+
+
+@st.composite
+def sparse_models_and_mixed_corpus(draw):
+    """Two models with n <= 3, m in {2, 3} and zero entries, plus 1-8 sequences of lengths 1-9."""
+    m = draw(st.integers(2, 3))
+    models = []
+    for _ in range(2):
+        n = draw(st.integers(1, 3))
+        models.append(HmmParams(
+            pi=draw(_stochastic_rows(1, n))[0],
+            A=draw(_stochastic_rows(n, n)),
+            B=draw(_stochastic_rows(n, m)),
+        ))
+    token = st.integers(0, m - 1)
+    seqs = draw(st.lists(st.lists(token, min_size=1, max_size=9), min_size=1, max_size=8))
+    return models, m, [np.array(seq, dtype=np.int64) for seq in seqs]
+
+
+class TestLengthBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_models_and_mixed_corpus())
+    def test_matrix_rows_equal_each_sequence_scored_alone(self, case):
+        models, m, seqs = case
+        ensemble = EnsembleModel(
+            models[:1], models[1:], Vocabulary("abc"[:m]),
+            EnsembleConfig(n_pos_models=1, n_neg_models=1), seeds=[(0, 0)] * 2,
+        )
+        ll = log_likelihood_matrix(ensemble, seqs)
+        for i, seq in enumerate(seqs):
+            for j, model in enumerate(models):
+                alone = log_likelihood(model, seq)
+                assert ll[i, j] == alone  # -inf included
+                want = oracles.brute_likelihood(model, seq)
+                assert math.exp(alone) == pytest.approx(want, rel=1e-10, abs=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_models_and_mixed_corpus())
+    def test_blocks_hold_each_row_once_with_at_most_double_padding(self, case):
+        _, _, seqs = case
+        blocks = _length_blocks(seqs)
+        rows = np.concatenate([idx for idx, _, _ in blocks])
+        assert sorted(rows.tolist()) == list(range(len(seqs)))
+        ranked = np.concatenate([lengths for _, _, lengths in blocks])
+        assert np.all(np.diff(ranked) <= 0)
+        for idx, obs, lengths in blocks:
+            assert obs.shape == (idx.size, lengths[0])
+            assert obs.size <= 2 * lengths.sum()
+            for row, i in enumerate(idx):
+                assert lengths[row] == seqs[i].shape[0]
+                assert np.array_equal(obs[row, : lengths[row]], seqs[i])
+        # a stable sort: rows of equal length keep their input order
+        for length in set(ranked.tolist()):
+            assert np.all(np.diff(rows[ranked == length]) > 0)
+
+    def test_e_step_memory_follows_tokens_not_rows_times_longest(self):
+        rng = np.random.default_rng(0)
+        model = init_random(5, 4, rng)
+        seqs = [rng.integers(0, 4, size=3000)] + [rng.integers(0, 4, size=2) for _ in range(999)]
+        tracemalloc.start()
+        try:
+            _e_step(model, _length_blocks(seqs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -155,6 +155,23 @@ class TestEvalReport:
                 tp=1, fp=0, tn=0, fn=0, n_pos=2, n_neg=1,
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_from_scores_equals_the_metrics_on_tied_scores(self, data):
+        n = data.draw(st.integers(2, 30))
+        labels = data.draw(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n)
+        )
+        scores = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        threshold = data.draw(st.integers(-1, 4))
+        report = EvalReport.from_scores(labels, scores, threshold)
+        assert report.auc_roc == roc_auc(labels, scores)
+        assert report.average_precision == average_precision(labels, scores)
+        assert (report.tp, report.fp, report.tn, report.fn) == confusion_at(
+            labels, scores, threshold
+        )
+        assert (report.n_pos, report.n_neg) == (sum(labels), n - sum(labels))
+
     def test_from_scores_roundtrip(self):
         report = EvalReport.from_scores([0, 0, 1, 1], [1, 2, 3, 4], threshold=3)
         assert report.tp == 2 and report.fp == 0 and report.tn == 2 and report.fn == 0
