@@ -6,6 +6,12 @@ model, so a sequence escapes all subsets of its class with probability
 positive/negative model pair and counts the wins, which sidesteps the
 usual problem of comparing raw likelihoods across sequence lengths.
 
+Member models train in units: the jobs of one class and state count, taken
+in job-index order up to ``UNIT_TOKENS`` training tokens, share one batched
+E-step (``hmm._baum_welch_unit``). Units run serially or on a process pool;
+the plan and the results depend on job indices alone, so parallel training
+gives the bytes of serial training.
+
 Scoring is binary-class by construction; a multi-class extension would
 train one model group per class and run the same matchup count for each
 ordered pair of groups.
@@ -20,20 +26,26 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, ParameterError
 from .hmm import (
     HmmParams,
     TrainConfig,
     Vocabulary,
+    _baum_welch_unit,
     _check_sequence,
     _length_blocks,
-    baum_welch,
     forward_batch,
     log_likelihood,
 )
 from .metrics import _check_inputs, _tie_groups
 
 DEFAULT_STATE_COUNTS = (3, 4, 5)
+
+# A training unit closes before the job that would take it past this many
+# tokens. Small jobs then share one batched E-step, while a job of a few
+# thousand tokens already runs each step at full vector width: ten
+# 6,000-token jobs per unit trained 2.3x faster but took 18% more peak memory.
+UNIT_TOKENS = 2**13
 
 
 @dataclass(frozen=True)
@@ -202,13 +214,30 @@ class EnsembleModel:
         )
 
 
-def _run_job(payload):
-    k, sequences, n_symbols, train_cfg = payload
-    try:
-        return k, baum_welch(sequences, n_symbols, train_cfg)
-    except (ParameterError, DataError, NumericError) as exc:
-        # name the job, keeping the package error type that sets the CLI exit code
-        raise type(exc)(f"training job {k} failed: {exc}") from exc
+def _plan_units(dataset: LabeledDataset, jobs: list[TrainingJob]) -> list[list[int]]:
+    """Job indices of each training unit, in order of each unit's first job.
+
+    A unit holds jobs of one (label, n_states) in index order and closes
+    before the job that would take it past ``UNIT_TOKENS`` training tokens,
+    so a larger job is a unit by itself. The plan depends on the jobs
+    alone, never on the worker count.
+    """
+    units, open_units = [], {}
+    for k, job in enumerate(jobs):
+        tokens = sum(len(dataset.sequences[i]) for i in job.indices)
+        unit = open_units.get((job.label, job.n_states))
+        if unit is None or unit[1] + tokens > UNIT_TOKENS:
+            unit = open_units[(job.label, job.n_states)] = [[], 0]
+            units.append(unit)
+        unit[0].append(k)
+        unit[1] += tokens
+    return [ids for ids, _ in units]
+
+
+def _run_unit(payload):
+    ids, job_sequences, n_symbols, train_cfg, seeds = payload
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return _baum_welch_unit(job_sequences, n_symbols, train_cfg, rngs, ids)
 
 
 def train_jobs(
@@ -217,27 +246,34 @@ def train_jobs(
     train_template,
     n_workers: int = 1,
 ) -> tuple[list[HmmParams], list[list[float]]]:
-    """Run training jobs; results are assembled by job index, so the output
-    is identical however many workers run them."""
+    """Run training jobs in lockstep units (``_plan_units``), serially or on
+    a pool of at most one worker per unit.
+
+    Results are assembled by job index, and units do not depend on the
+    worker count, so the output is identical however many workers run them.
+    """
     m = dataset.vocabulary.size
     payloads = [
         (
-            k,
-            [dataset.sequences[i] for i in job.indices],
+            ids,
+            [[dataset.sequences[i] for i in jobs[k].indices] for k in ids],
             m,
-            replace(train_template, n_states=job.n_states, seed=job.model_seed),
+            replace(train_template, n_states=jobs[ids[0]].n_states),
+            [jobs[k].model_seed for k in ids],
         )
-        for k, job in enumerate(jobs)
+        for ids in _plan_units(dataset, jobs)
     ]
-    results: list = [None] * len(jobs)
+    # a fork pool starts all its workers at the first submit: never more than units
+    n_workers = min(n_workers, len(payloads))
     if n_workers <= 1:
-        for payload in payloads:
-            k, out = _run_job(payload)
-            results[k] = out
+        outputs = [_run_unit(payload) for payload in payloads]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for k, out in pool.map(_run_job, payloads):
-                results[k] = out
+            outputs = list(pool.map(_run_unit, payloads))
+    results: list = [None] * len(jobs)
+    for payload, out in zip(payloads, outputs):
+        for k, result in zip(payload[0], out):
+            results[k] = result
     models = [r[0] for r in results]
     histories = [r[1] for r in results]
     return models, histories

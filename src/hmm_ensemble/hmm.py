@@ -11,8 +11,14 @@ Scoring and training run their recursions over ``_length_blocks``: rows in
 descending length order, cut into blocks whose rows are all longer than
 half the block's longest. A block is one padded S x T array, so padding at
 most doubles its cells and memory follows the tokens, never the row count
-times the longest row; step t advances only the rows longer than t, so a
-corpus of many lengths takes a few recursions instead of one per length.
+times the longest row; a corpus of many lengths takes a few recursions
+instead of one per length. In scoring, step t advances only the rows longer
+than t.
+
+Training has one EM path, ``_baum_welch_unit``: the jobs of one state
+count run in lockstep, each block laid out job-major as T x J x R (J jobs,
+up to R rows each), with one batched matrix product per step for all of
+them. ``baum_welch`` is its one-job case.
 """
 
 from __future__ import annotations
@@ -292,75 +298,169 @@ def _live_runs(lengths) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _e_step(model: HmmParams, blocks):
-    """Pooled expected counts and total log-likelihood over all sequences.
+def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pi, A, B) of J models with one state count, stacked on a leading job axis."""
+    return tuple(np.stack([getattr(p, name) for p in models]) for name in ("pi", "A", "B"))
 
-    Scaled forward-backward (Rabiner 1989, Sec. V.A), time-major per
-    ``_length_blocks`` block: alpha[t] sums to 1 per row with normalizer
-    c[t], ln p = sum_t ln c[t], beta shares the scaling, and
-    gamma = alpha * beta. Past a row's end alpha and beta stay 0 and c stays
-    1, so padding adds nothing. A row with a c[t] of 0 is impossible: its
-    log-likelihood is -inf and it adds no counts.
+
+def _job_blocks(job_sequences, n_symbols: int) -> list:
+    """The ``_length_blocks`` blocks of all jobs' rows, laid out job-major.
+
+    Each block is (jobs, keys, pad, ends). ``jobs`` are the positions of the
+    J jobs with rows in the block. ``keys`` is T x J x R, where R is the
+    most rows any job has in the block: slot j holds job ``jobs[j]``'s rows
+    in block order, and a key is j * (m + 1) + id, with the id m past a
+    row's end and in the slots a job leaves empty. ``pad`` marks those
+    positions. ``ends[L]`` indexes the (slot, row) pairs of the rows of
+    length L.
     """
-    n, m = model.n, model.m
-    A, Bt = model.A, model.B.T
-    ones = np.ones(n)  # a @ ones sums rows faster than a.sum(axis=1) at n <= 5
-    pi_counts, trans_counts, emit_counts = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
-    total_ll = 0.0
-    for _, obs, lengths in blocks:
-        obs = obs.T
-        T, S = obs.shape
-        runs = _live_runs(lengths)
-        Bo = Bt[obs]
-        alpha, c = np.zeros((T, S, n)), np.ones((T, S))
-        a = model.pi * Bo[0]
+    rows = [seq for seqs in job_sequences for seq in seqs]
+    owner = np.repeat(np.arange(len(job_sequences)), [len(seqs) for seqs in job_sequences])
+    blocks = []
+    for idx, obs, lengths in _length_blocks(rows):
+        present = np.bincount(owner[idx], minlength=len(job_sequences))
+        jobs, counts = np.flatnonzero(present), present[present > 0]
+        slot = (np.cumsum(present > 0) - 1)[owner[idx]]
+        # a row's rank among its job's rows; a stable sort keeps block order
+        order = np.argsort(slot, kind="stable")
+        rank = np.empty_like(slot)
+        rank[order] = np.arange(slot.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        T = obs.shape[1]
+        ids = obs.T.copy()
+        ids[np.arange(T)[:, None] >= lengths[None, :]] = n_symbols
+        keys = np.full((T, jobs.size, counts.max()), n_symbols, dtype=np.int64)
+        keys[:, slot, rank] = ids
+        pad = keys == n_symbols
+        keys += (n_symbols + 1) * np.arange(jobs.size)[None, :, None]
+        ends = {L: (slot[lengths == L], rank[lengths == L]) for L in set(lengths.tolist())}
+        blocks.append((jobs, keys, pad, ends))
+    return blocks
+
+
+def _e_step(params, blocks):
+    """Expected counts and log-likelihood of each of J jobs, in one pass.
+
+    ``params`` is the stacked (pi, A, B) of the jobs (``_stack``) and
+    ``blocks`` come from ``_job_blocks``. Scaled forward-backward (Rabiner
+    1989, Sec. V.A), time-major, with one batched matrix product per step
+    over the T x J x R x n block: alpha[t] sums to 1 per row with
+    normalizer c[t], ln p = sum_t ln c[t], beta shares the scaling, and
+    gamma = alpha * beta. Past a row's end the emission factor is 0, so
+    alpha and beta stay 0, and c is set to 1 there: padding adds nothing.
+    A row with a c[t] of 0 is impossible: its job's log-likelihood is -inf
+    and the row adds no counts. Returns ((pi, A, B) counts with a leading
+    job axis, log-likelihoods of shape (J,)).
+    """
+    pi, A, B = params
+    (J, n), m = pi.shape, B.shape[2]
+    # each job's emission columns, then a zero row for the padding id m
+    Bt = np.zeros((J, m + 1, n))
+    Bt[:, :m] = B.transpose(0, 2, 1)
+    ones = np.ones(n)  # a @ ones sums rows faster than a.sum(axis=-1) at n <= 5
+    pi_counts, trans_counts = np.zeros((J, n)), np.zeros((J, n, n))
+    emit_counts, total_ll = np.zeros((J, n, m)), np.zeros(J)
+    for jobs, keys, pad, ends in blocks:
+        T, Jb, _ = keys.shape
+        Ab = A[jobs]
+        Bo = Bt[jobs].reshape(-1, n)[keys]
+        alpha, c = np.empty(Bo.shape), np.empty(keys.shape)
+        a = pi[jobs][:, None, :] * Bo[0]
         c[0] = s = a @ ones
-        alpha[0] = a / np.where(s > 0, s, 1.0)[:, None]
-        for k, t0, t1 in runs:
-            al, cl, bo = alpha[:, :k], c[:, :k], Bo[:, :k]
-            for t in range(t0, t1):
-                a = (al[t - 1] @ A) * bo[t]
-                cl[t] = s = a @ ones
-                al[t] = a / np.where(s > 0, s, 1.0)[:, None]
+        alpha[0] = a / np.where(s > 0, s, 1.0)[..., None]
+        for t in range(1, T):
+            a = (alpha[t - 1] @ Ab) * Bo[t]
+            c[t] = s = a @ ones
+            alpha[t] = a / np.where(s > 0, s, 1.0)[..., None]
+        c[pad] = 1.0
         with np.errstate(divide="ignore"):
-            total_ll += float(np.log(c).sum())
+            # each job's terms contiguous and time-major, so each sums as it would alone
+            logc = np.log(np.ascontiguousarray(c.transpose(1, 0, 2)))
+            total_ll[jobs] += logc.reshape(Jb, -1).sum(axis=1)
 
         # dividing by c gives beta the scaling of alpha; inf zeroes impossible rows
-        Bo /= np.where(c > 0, c, np.inf)[:, :, None]
-        beta = np.zeros((T, S, n))
-        beta[lengths - 1, np.arange(S)] = 1.0
-        for k, t0, t1 in reversed(runs):
-            be, bo = beta[:, :k], Bo[:, :k]
-            for t in range(t1 - 1, t0 - 1, -1):
-                be[t - 1] = (bo[t] * be[t]) @ A.T
-        gamma = alpha * beta
-        pi_counts += gamma[0].sum(axis=0)
-        xi_right = (Bo[1:] * beta[1:]).reshape(-1, n)
-        trans_counts += A * (alpha[:-1].reshape(-1, n).T @ xi_right)
-        flat_obs, flat_gamma = obs.reshape(-1), gamma.reshape(-1, n)
+        Bo /= np.where(c > 0, c, np.inf)[..., None]
+        beta, At = np.zeros(Bo.shape), Ab.transpose(0, 2, 1)
+        beta[T - 1][ends[T]] = 1.0
+        for t in range(T - 1, 0, -1):
+            beta[t - 1] = (Bo[t] * beta[t]) @ At
+            if t in ends:  # rows of length t end here; Bo[t] = 0 zeroed them
+                beta[t - 1][ends[t]] = 1.0
+        Bo[1:] *= beta[1:]  # the right factor of xi
+        xi_left = alpha[:-1].transpose(1, 0, 2, 3).reshape(Jb, -1, n)
+        xi_right = Bo[1:].transpose(1, 0, 2, 3).reshape(Jb, -1, n)
+        trans_counts[jobs] += Ab * (xi_left.transpose(0, 2, 1) @ xi_right)
+        alpha *= beta  # gamma
+        pi_counts[jobs] += alpha[0].sum(axis=1)
+        flat_keys, flat_gamma = keys.reshape(-1), alpha.reshape(-1, n)
         for j in range(n):
-            emit_counts[j] += np.bincount(flat_obs, weights=flat_gamma[:, j], minlength=m)
+            emitted = np.bincount(flat_keys, weights=flat_gamma[:, j], minlength=Jb * (m + 1))
+            emit_counts[jobs, j] += emitted.reshape(Jb, m + 1)[:, :m]
     return (pi_counts, trans_counts, emit_counts), total_ll
 
 
 def _floor_normalize(mat: np.ndarray, floor: float) -> np.ndarray:
-    """Counts -> distributions; zero rows go uniform; floor then renormalize."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    sums = mat.sum(axis=1, keepdims=True)
-    out = np.where(sums > 0, mat / np.where(sums > 0, sums, 1.0), 1.0 / mat.shape[1])
+    """Counts -> distributions over the last axis; zero rows go uniform; floor then renormalize."""
+    sums = mat.sum(axis=-1, keepdims=True)
+    out = np.where(sums > 0, mat / np.where(sums > 0, sums, 1.0), 1.0 / mat.shape[-1])
     if floor > 0:
         out = np.maximum(out, floor)
-        out = out / out.sum(axis=1, keepdims=True)
+        out = out / out.sum(axis=-1, keepdims=True)
     return out
 
 
-def _m_step(counts, floor: float) -> HmmParams:
-    pi_counts, trans_counts, emit_counts = counts
-    return HmmParams(
-        pi=_floor_normalize(pi_counts, floor)[0],
-        A=_floor_normalize(trans_counts, floor),
-        B=_floor_normalize(emit_counts, floor),
-    )
+def _baum_welch_unit(job_sequences, n_symbols: int, config: TrainConfig, rngs, job_ids=None):
+    """Baum-Welch for J jobs of one state count in lockstep (Rabiner 1989, Sec. V.B).
+
+    Job j trains on ``job_sequences[j]`` from ``init_random`` drawn with
+    ``rngs[j]``; ``config`` gives the state count and EM settings of all
+    jobs. Each iteration runs one ``_e_step`` for the jobs still running
+    and one M-step on their stacked counts. Every job keeps its own stop
+    test, leaves the unit when it stops, and the blocks are rebuilt for the
+    rest. Returns one (model, history) per job, as ``baum_welch`` gives for
+    that job alone up to the order of floating-point sums.
+
+    With ``job_ids``, a package error is raised again naming a job: the one
+    whose sequences or likelihood failed, or the unit's first job for a
+    setting that fails them all.
+    """
+    job = 0
+    try:
+        config.validate_floor(n_symbols)
+        checked = []
+        for job, seqs in enumerate(job_sequences):
+            checked.append([_check_sequence(s, n_symbols) for s in seqs])
+            if not checked[-1]:
+                raise ParameterError("need at least one training sequence")
+        params = _stack([init_random(config.n_states, n_symbols, rng) for rng in rngs])
+        models: list = [None] * len(checked)
+        histories: list[list[float]] = [[] for _ in checked]
+        live = np.arange(len(checked))
+        blocks = _job_blocks(checked, n_symbols)
+        for _ in range(config.max_iters):
+            counts, lls = _e_step(params, blocks)
+            stop = np.zeros(live.size, dtype=bool)
+            for i, (job, ll) in enumerate(zip(live.tolist(), lls.tolist())):
+                if not math.isfinite(ll):
+                    raise NumericError("total log-likelihood is not finite")
+                history = histories[job]
+                stop[i] = bool(history) and ll - history[-1] < config.tol
+                history.append(ll)
+            for i in np.flatnonzero(stop):  # a stopped job keeps the parameters it was scored with
+                models[live[i]] = HmmParams(*(p[i] for p in params))
+            params = tuple(_floor_normalize(x[~stop], config.floor) for x in counts)
+            live = live[~stop]
+            if not live.size:
+                break
+            if stop.any():
+                blocks = _job_blocks([checked[k] for k in live], n_symbols)
+        for i, job in enumerate(live.tolist()):
+            models[job] = HmmParams(*(p[i] for p in params))
+        return list(zip(models, histories))
+    except (ParameterError, DataError, NumericError) as exc:
+        if job_ids is None:
+            raise
+        # name the job, keeping the package error type that sets the CLI exit code
+        raise type(exc)(f"training job {job_ids[job]} failed: {exc}") from exc
 
 
 def baum_welch(
@@ -375,26 +475,11 @@ def baum_welch(
     history; entry k is the likelihood of the parameters *before* update k,
     so the history is non-decreasing up to flooring perturbations. Stops
     after ``max_iters`` updates or once the improvement drops below ``tol``.
+    This is the one-job case of ``_baum_welch_unit``.
     """
-    config.validate_floor(n_symbols)
-    sequences = [_check_sequence(s, n_symbols) for s in sequences]
-    if not sequences:
-        raise ParameterError("need at least one training sequence")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    blocks = _length_blocks(sequences)
-    model = init_random(config.n_states, n_symbols, rng)
-    history: list[float] = []
-    for _ in range(config.max_iters):
-        counts, total_ll = _e_step(model, blocks)
-        if not math.isfinite(total_ll):
-            raise NumericError("total log-likelihood is not finite")
-        if history and total_ll - history[-1] < config.tol:
-            history.append(total_ll)
-            break
-        history.append(total_ll)
-        model = _m_step(counts, config.floor)
-    return model, history
+    return _baum_welch_unit([sequences], n_symbols, config, [rng])[0]
 
 
 def sample(model: HmmParams, length: int, rng: np.random.Generator) -> TokenSequence:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from hmm_ensemble import (
     EnsembleModel,
     HmmParams,
     LabeledDataset,
+    NumericError,
     ParameterError,
     Provenance,
     TrainConfig,
+    TrainingJob,
     Vocabulary,
+    baum_welch,
     choose_threshold,
     classify,
     composite_score,
@@ -28,9 +32,11 @@ from hmm_ensemble import (
     score_corpus,
     singleton_classify,
     train_ensemble,
+    train_jobs,
 )
 from hmm_ensemble import ensemble as ensemble_mod
-from hmm_ensemble.ensemble import _ceil_fraction
+from hmm_ensemble import hmm as hmm_mod
+from hmm_ensemble.ensemble import UNIT_TOKENS, _ceil_fraction, _plan_units
 
 
 def synthetic_dataset(n_pos=30, n_neg=30, length=12, seed=0):
@@ -217,10 +223,130 @@ class TestTrainEnsemble:
         def fail(*args):
             raise TwoArgError(7, "boom")
 
-        monkeypatch.setattr(ensemble_mod, "baum_welch", fail)
+        monkeypatch.setattr(ensemble_mod, "_baum_welch_unit", fail)
         with pytest.raises(TwoArgError) as info:
             train_ensemble(synthetic_dataset(), small_config(), n_workers=1)
         assert info.value.args == (7, "boom")
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records its size and maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    return FakeExecutor.sizes
+
+
+def mixed_length_dataset(rng, n_pos, n_neg):
+    gen = HmmParams(pi=[0.5, 0.5], A=[[0.9, 0.1], [0.3, 0.7]], B=[[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
+    seqs = [sample(gen, int(rng.integers(1, 30)), rng) for _ in range(n_pos + n_neg)]
+    return LabeledDataset(
+        sequences=seqs,
+        labels=np.array([1] * n_pos + [0] * n_neg),
+        vocabulary=Vocabulary("abc"),
+        provenance=Provenance(source="synthetic"),
+    )
+
+
+class TestTrainingUnits:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_job_matches_baum_welch_on_its_subset(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = mixed_length_dataset(rng, 20, 30)
+        cfg = small_config(
+            n_pos_models=int(rng.integers(4, 10)),
+            n_neg_models=int(rng.integers(4, 10)),
+            subset_fraction=float(rng.uniform(0.05, 0.3)),
+            train=TrainConfig(n_states=2, max_iters=10, tol=1e-2),
+            master_seed=seed,
+        )
+        jobs = make_training_jobs(ds, cfg)
+        assert len(_plan_units(ds, jobs)) < len(jobs)
+        models, histories = train_jobs(ds, jobs, cfg.train)
+        # jobs leave their units at different iterations
+        assert len({len(h) for h in histories}) > 1
+        for job, model, history in zip(jobs, models, histories):
+            own = replace(cfg.train, n_states=job.n_states, seed=job.model_seed)
+            alone, want = baum_welch([ds.sequences[i] for i in job.indices], 3, own)
+            assert len(history) == len(want)
+            np.testing.assert_allclose(history, want, rtol=1e-12, atol=0)
+            for name in ("pi", "A", "B"):
+                np.testing.assert_allclose(getattr(model, name), getattr(alone, name),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length, fraction", [(50, 0.2), (100, 1.0)])
+    def test_unit_plan_is_the_same_for_any_worker_count(self, monkeypatch, fake_pool,
+                                                       length, fraction):
+        ds = synthetic_dataset(n_pos=100, n_neg=100, length=length)
+        jobs = make_training_jobs(ds, small_config(n_pos_models=30, n_neg_models=30,
+                                                   subset_fraction=fraction))
+        calls = []
+
+        def record(job_sequences, n_symbols, config, rngs, ids):
+            calls.append(list(ids))
+            return [(None, [])] * len(ids)
+
+        monkeypatch.setattr(ensemble_mod, "_baum_welch_unit", record)
+        plans = []
+        for n_workers in (1, 2, 8):
+            calls.clear()
+            train_jobs(ds, jobs, small_config().train, n_workers)
+            plans.append(list(calls))
+        assert plans[0] == plans[1] == plans[2] == _plan_units(ds, jobs)
+        units = plans[0]
+        assert sorted(k for unit in units for k in unit) == list(range(len(jobs)))
+        tokens = [sum(len(ds.sequences[i]) for i in job.indices) for job in jobs]
+        key = [(job.label, job.n_states) for job in jobs]
+        for i, unit in enumerate(units):
+            assert unit == sorted(unit) and len({key[k] for k in unit}) == 1
+            assert len(unit) == 1 or sum(tokens[k] for k in unit) <= UNIT_TOKENS
+            # a unit closes only before the job that would take it past the budget
+            later = [u for u in units[i + 1:] if key[u[0]] == key[unit[0]]]
+            if later:
+                assert sum(tokens[k] for k in unit) + tokens[later[0][0]] > UNIT_TOKENS
+        assert max(len(unit) for unit in units) == (8 if length == 50 else 1)
+
+    def test_pool_is_never_larger_than_its_units(self, fake_pool):
+        ds = synthetic_dataset()
+        cfg = small_config()
+        jobs = make_training_jobs(ds, cfg)
+        train_jobs(ds, jobs, cfg.train, n_workers=5000)
+        assert fake_pool == [len(_plan_units(ds, jobs))]
+        # one unit runs in-process, whatever the worker count
+        train_jobs(ds, jobs[:1], cfg.train, n_workers=8)
+        assert fake_pool == [len(_plan_units(ds, jobs))]
+
+    def test_non_finite_total_names_its_job(self, monkeypatch):
+        start = HmmParams(pi=[1.0], A=[[1.0]], B=[[1.0, 0.0, 0.0]])
+        monkeypatch.setattr(hmm_mod, "init_random", lambda n, m, rng: start)
+        ds = LabeledDataset(
+            sequences=[np.array([0, 0]), np.array([0, 2]), np.array([0])],
+            labels=np.array([1, 1, 0]),
+            vocabulary=Vocabulary("abc"),
+            provenance=Provenance(source="synthetic"),
+        )
+        jobs = [TrainingJob(label=1, indices=np.array([i]), subset_seed=0, model_seed=0,
+                            n_states=1) for i in (0, 1)]
+        assert _plan_units(ds, jobs) == [[0, 1]]
+        with pytest.raises(NumericError, match="training job 1 failed"):
+            train_jobs(ds, jobs, TrainConfig(n_states=1, floor=0.0))
 
 
 @pytest.fixture(scope="module")

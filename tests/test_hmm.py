@@ -25,7 +25,7 @@ from hmm_ensemble import (
     viterbi,
 )
 from hmm_ensemble import hmm as hmm_mod
-from hmm_ensemble.hmm import _e_step, _length_blocks, forward_batch, logsumexp
+from hmm_ensemble.hmm import _e_step, _job_blocks, _length_blocks, _stack, forward_batch, logsumexp
 
 
 TWO_STATE = HmmParams(
@@ -342,7 +342,8 @@ def sparse_model_and_corpus(draw):
 
 
 def e_step(model, seqs):
-    return _e_step(model, _length_blocks(seqs))
+    counts, ll = _e_step(_stack([model]), _job_blocks([seqs], model.m))
+    return tuple(x[0] for x in counts), ll[0]
 
 
 class TestEStepProperties:
@@ -453,7 +454,60 @@ class TestLengthBlocks:
         seqs = [rng.integers(0, 4, size=3000)] + [rng.integers(0, 4, size=2) for _ in range(999)]
         tracemalloc.start()
         try:
-            _e_step(model, _length_blocks(seqs))
+            _e_step(_stack([model]), _job_blocks([seqs], model.m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@st.composite
+def sparse_jobs(draw):
+    """1-4 jobs of one state count, each a model with n, m <= 3 and zero
+    entries and 1-5 sequences of lengths 1-9."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    token = st.integers(0, m - 1)
+    models, job_seqs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        models.append(HmmParams(
+            pi=draw(_stochastic_rows(1, n))[0],
+            A=draw(_stochastic_rows(n, n)),
+            B=draw(_stochastic_rows(n, m)),
+        ))
+        seqs = draw(st.lists(st.lists(token, min_size=1, max_size=9), min_size=1, max_size=5))
+        job_seqs.append([np.array(seq, dtype=np.int64) for seq in seqs])
+    return models, m, job_seqs
+
+
+class TestJobAxis:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_jobs())
+    def test_each_job_equals_its_one_job_e_step_and_the_oracle(self, case):
+        models, m, job_seqs = case
+        counts, lls = _e_step(_stack(models), _job_blocks(job_seqs, m))
+        for j, (model, seqs) in enumerate(zip(models, job_seqs)):
+            alone, ll_alone = _e_step(_stack([model]), _job_blocks([seqs], m))
+            possible = [seq for seq in seqs if oracles.brute_likelihood(model, seq) > 0]
+            # an impossible row makes only its own job -inf
+            assert (lls[j] == -math.inf) == (len(possible) < len(seqs))
+            if math.isinf(ll_alone[0]):
+                assert lls[j] == ll_alone[0]
+            else:
+                assert lls[j] == pytest.approx(ll_alone[0], rel=1e-12, abs=1e-12)
+            for got, one, want in zip(counts, alone, oracles.brute_em_counts(model, possible)):
+                assert np.all(np.isfinite(got[j]))
+                np.testing.assert_allclose(got[j], one[0], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("lengths", [[50] * 160, np.linspace(20, 120, 116).round()])
+    def test_unit_memory_follows_tokens(self, lengths):
+        # a unit of about 2**13 tokens: at n = 5, one float per token and state is 0.3 MB
+        rng = np.random.default_rng(0)
+        job_seqs = [[rng.integers(0, 8, size=int(length))] for length in lengths]
+        rngs = [np.random.default_rng(k) for k in range(len(job_seqs))]
+        tracemalloc.start()
+        try:
+            hmm_mod._baum_welch_unit(job_seqs, 8, TrainConfig(n_states=5, max_iters=2), rngs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
