@@ -26,7 +26,7 @@ from . import ensemble as ens
 from . import mlp as mlp_mod
 from .config import RunConfig, config_hash, load_run_config, resolved_config_text
 from .diversity import similarity_matrix
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_seed
 from .hmm import sample
 from .metrics import EvalReport
 
@@ -77,7 +77,7 @@ def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
         try:
             payload = json.load(fh, parse_constant=_reject_constant)
             model = ens.EnsembleModel.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: invalid model ({type(exc).__name__}: {exc})") from None
     provenance = payload.get("provenance", {})
     if not isinstance(provenance, dict) or not isinstance(provenance.get("dataset", {}), dict):
@@ -98,6 +98,14 @@ def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return sequences, (np.asarray(labels, dtype=np.int64) if labels_required else None)
+
+
+def _seed_arg(text: str) -> int:
+    """The argparse type of every --seed flag."""
+    try:
+        return check_seed("--seed", int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 def _resolve_workers(threads: int) -> int:
@@ -321,7 +329,7 @@ def cmd_classify_nn(args) -> int:
         if eval_x.shape[1] != features.shape[1]:
             raise DataError(f"eval features are {eval_x.shape[1]} wide, "
                             f"training features {features.shape[1]}")
-    config = cfg.mlp_config(input_dim=features.shape[1])
+    config = cfg.mlp
     model = mlp_mod.mlp_train(features, labels, config)
     scores = mlp_mod.mlp_predict(model, eval_x)
     report = EvalReport.from_scores(eval_y, scores, threshold=0.5)
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed_help=None):
         if seed_help:
-            p.add_argument("--seed", type=int, default=None, help=seed_help)
+            p.add_argument("--seed", type=_seed_arg, default=None, help=seed_help)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train an ensemble from a labeled CSV")

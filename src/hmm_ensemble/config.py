@@ -26,8 +26,8 @@ A config file looks like::
     epochs = 16
 
 Each section's keys, types and defaults are the fields of one dataclass
-(see SECTIONS), minus the fields a run fills in itself. Unknown keys are
-rejected so typos fail loudly; parse errors and non-finite floats name
+(see SECTIONS); ``[train]`` fills ``EnsembleConfig.train``. Unknown keys
+are rejected so typos fail loudly; parse errors and non-finite floats name
 the offending [section] key.
 """
 
@@ -41,7 +41,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .ensemble import EnsembleConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .hmm import TrainConfig
 from .mlp import MlpConfig
 
@@ -54,14 +54,17 @@ class DataConfig:
     imbalance_ratio: float = 0.0  # 0 disables imbalance construction
     imbalance_seed: int = 0
 
+    def __post_init__(self):
+        check_seed("imbalance_seed", self.imbalance_seed)
 
-# Section -> (dataclass, fields left out of the file). Each training job
-# sets its own n_states and seed; the MLP's input_dim is the feature width.
+
+# Section -> (dataclass, fields left out of the file). The [train] section
+# fills EnsembleConfig.train.
 SECTIONS = {
     "data": (DataConfig, ()),
     "ensemble": (EnsembleConfig, ("train",)),
-    "train": (TrainConfig, ("n_states", "seed")),
-    "mlp": (MlpConfig, ("input_dim",)),
+    "train": (TrainConfig, ()),
+    "mlp": (MlpConfig, ()),
 }
 
 
@@ -88,14 +91,12 @@ class RunConfig:
         return DataConfig(**self.sections["data"])
 
     def ensemble_config(self) -> EnsembleConfig:
-        # The train template's n_states is a placeholder that each job
-        # replaces; the first state count keeps it valid.
-        config = EnsembleConfig(**self.sections["ensemble"])
-        train = TrainConfig(n_states=config.state_counts[0], **self.sections["train"])
-        return dataclasses.replace(config, train=train)
+        train = TrainConfig(**self.sections["train"])
+        return EnsembleConfig(train=train, **self.sections["ensemble"])
 
-    def mlp_config(self, input_dim: int) -> MlpConfig:
-        return MlpConfig(input_dim=input_dim, **self.sections["mlp"])
+    @property
+    def mlp(self) -> MlpConfig:
+        return MlpConfig(**self.sections["mlp"])
 
 
 def _parse(section: str, key: str, raw: str):

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_seed
 from .hmm import (
     HmmParams,
     TrainConfig,
@@ -52,15 +52,15 @@ UNIT_TOKENS = 2**13
 class EnsembleConfig:
     """Ensemble shape and training settings.
 
-    ``train`` is a template; each job overrides its ``n_states`` (cycling
-    through ``state_counts`` by job index) and ``seed``.
+    Job k trains a ``state_counts[k % len(state_counts)]``-state model with
+    the EM settings ``train``, from seeds derived from ``master_seed``.
     """
 
     n_pos_models: int = 20
     n_neg_models: int = 20
     subset_fraction: float = 1.0
     state_counts: tuple[int, ...] = DEFAULT_STATE_COUNTS
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(n_states=5))
+    train: TrainConfig = field(default_factory=TrainConfig)
     master_seed: int = 0
 
     def __post_init__(self):
@@ -71,6 +71,9 @@ class EnsembleConfig:
         if not self.state_counts:
             raise ParameterError("state_counts must be non-empty")
         object.__setattr__(self, "state_counts", tuple(int(c) for c in self.state_counts))
+        if min(self.state_counts) < 1:
+            raise ParameterError("state counts must be >= 1")
+        check_seed("master_seed", self.master_seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -79,14 +82,8 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleConfig":
-        return cls(
-            n_pos_models=d["n_pos_models"],
-            n_neg_models=d["n_neg_models"],
-            subset_fraction=d["subset_fraction"],
-            state_counts=tuple(d["state_counts"]),
-            train=TrainConfig(**d["train"]),
-            master_seed=d["master_seed"],
-        )
+        values = {f.name: d[f.name] for f in fields(cls)}  # a missing key is a KeyError
+        return cls(**{**values, "train": TrainConfig(**d["train"])})
 
 
 @dataclass(frozen=True)
@@ -235,15 +232,15 @@ def _plan_units(dataset: LabeledDataset, jobs: list[TrainingJob]) -> list[list[i
 
 
 def _run_unit(payload):
-    ids, job_sequences, n_symbols, train_cfg, seeds = payload
+    ids, job_sequences, n_symbols, n_states, train_cfg, seeds = payload
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    return _baum_welch_unit(job_sequences, n_symbols, train_cfg, rngs, ids)
+    return _baum_welch_unit(job_sequences, n_symbols, n_states, train_cfg, rngs, ids)
 
 
 def train_jobs(
     dataset: LabeledDataset,
     jobs: list[TrainingJob],
-    train_template,
+    train_config: TrainConfig,
     n_workers: int = 1,
 ) -> tuple[list[HmmParams], list[list[float]]]:
     """Run training jobs in lockstep units (``_plan_units``), serially or on
@@ -258,7 +255,8 @@ def train_jobs(
             ids,
             [[dataset.sequences[i] for i in jobs[k].indices] for k in ids],
             m,
-            replace(train_template, n_states=jobs[ids[0]].n_states),
+            jobs[ids[0]].n_states,
+            train_config,
             [jobs[k].model_seed for k in ids],
         )
         for ids in _plan_units(dataset, jobs)

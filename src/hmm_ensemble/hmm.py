@@ -148,17 +148,13 @@ class HmmParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Baum-Welch settings for a single model."""
+    """Baum-Welch settings; the state count and random start are per call."""
 
-    n_states: int
     max_iters: int = 25
     tol: float = 1e-4
-    seed: int = 0
     floor: float = 1e-10
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ParameterError("n_states must be >= 1")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
         if self.tol < 0:
@@ -166,10 +162,10 @@ class TrainConfig:
         if self.floor < 0:
             raise ParameterError("floor must be >= 0")
 
-    def validate_floor(self, n_symbols: int) -> None:
+    def validate_floor(self, n_states: int, n_symbols: int) -> None:
         # A floor of 0 disables flooring; otherwise flooring then
         # renormalizing must leave valid distributions.
-        limit = 1.0 / max(self.n_states, n_symbols)
+        limit = 1.0 / max(n_states, n_symbols)
         if self.floor >= limit:
             raise ParameterError(f"floor must be < {limit} for this model size")
 
@@ -408,16 +404,18 @@ def _floor_normalize(mat: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-def _baum_welch_unit(job_sequences, n_symbols: int, config: TrainConfig, rngs, job_ids=None):
+def _baum_welch_unit(
+    job_sequences, n_symbols: int, n_states: int, config: TrainConfig, rngs, job_ids=None
+):
     """Baum-Welch for J jobs of one state count in lockstep (Rabiner 1989, Sec. V.B).
 
-    Job j trains on ``job_sequences[j]`` from ``init_random`` drawn with
-    ``rngs[j]``; ``config`` gives the state count and EM settings of all
-    jobs. Each iteration runs one ``_e_step`` for the jobs still running
-    and one M-step on their stacked counts. Every job keeps its own stop
-    test, leaves the unit when it stops, and the blocks are rebuilt for the
-    rest. Returns one (model, history) per job, as ``baum_welch`` gives for
-    that job alone up to the order of floating-point sums.
+    Job j trains an ``n_states``-state model on ``job_sequences[j]`` from
+    ``init_random`` drawn with ``rngs[j]``; ``config`` gives the EM settings
+    of all jobs. Each iteration runs one ``_e_step`` for the jobs still
+    running and one M-step on their stacked counts. Every job keeps its own
+    stop test, leaves the unit when it stops, and the blocks are rebuilt for
+    the rest. Returns one (model, history) per job, as ``baum_welch`` gives
+    for that job alone up to the order of floating-point sums.
 
     With ``job_ids``, a package error is raised again naming a job: the one
     whose sequences or likelihood failed, or the unit's first job for a
@@ -425,13 +423,13 @@ def _baum_welch_unit(job_sequences, n_symbols: int, config: TrainConfig, rngs, j
     """
     job = 0
     try:
-        config.validate_floor(n_symbols)
+        config.validate_floor(n_states, n_symbols)
         checked = []
         for job, seqs in enumerate(job_sequences):
             checked.append([_check_sequence(s, n_symbols) for s in seqs])
             if not checked[-1]:
                 raise ParameterError("need at least one training sequence")
-        params = _stack([init_random(config.n_states, n_symbols, rng) for rng in rngs])
+        params = _stack([init_random(n_states, n_symbols, rng) for rng in rngs])
         models: list = [None] * len(checked)
         histories: list[list[float]] = [[] for _ in checked]
         live = np.arange(len(checked))
@@ -466,10 +464,12 @@ def _baum_welch_unit(job_sequences, n_symbols: int, config: TrainConfig, rngs, j
 def baum_welch(
     sequences,
     n_symbols: int,
+    n_states: int,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[HmmParams, list[float]]:
-    """Multi-sequence EM from a random start.
+    """Multi-sequence EM for an ``n_states``-state model from a random start
+    drawn with ``rng``.
 
     Returns the trained model and the per-iteration total log-likelihood
     history; entry k is the likelihood of the parameters *before* update k,
@@ -477,9 +477,7 @@ def baum_welch(
     after ``max_iters`` updates or once the improvement drops below ``tol``.
     This is the one-job case of ``_baum_welch_unit``.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return _baum_welch_unit([sequences], n_symbols, config, [rng])[0]
+    return _baum_welch_unit([sequences], n_symbols, n_states, config, [rng])[0]
 
 
 def sample(model: HmmParams, length: int, rng: np.random.Generator) -> TokenSequence:

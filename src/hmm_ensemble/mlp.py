@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_seed
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -28,7 +28,6 @@ ADAM_EPS = 1e-8
 class MlpConfig:
     """Architecture and training hyperparameters."""
 
-    input_dim: int
     hidden_dims: tuple[int, ...] = (512, 256, 128)
     dropout: float = 0.25
     learning_rate: float = 1e-3
@@ -37,8 +36,6 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ParameterError("input_dim must be >= 1")
         if not self.hidden_dims:
             raise ParameterError("hidden_dims must be non-empty")
         if any(h < 1 for h in self.hidden_dims):
@@ -51,6 +48,7 @@ class MlpConfig:
             raise ParameterError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        check_seed("seed", self.seed)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
@@ -233,10 +231,8 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
 def class_balance_weights(labels) -> np.ndarray:
     """Per-example sampling weights inversely proportional to class frequency."""
     labels = np.asarray(labels, dtype=np.int64)
-    weights = np.empty(labels.shape[0])
-    for cls in np.unique(labels):
-        mask = labels == cls
-        weights[mask] = 1.0 / mask.sum()
+    # bincount, not unique: np.unique imports numpy.ma
+    weights = 1.0 / np.bincount(labels)[labels]
     return weights / weights.sum()
 
 
@@ -274,11 +270,11 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
     y = np.asarray(labels, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ParameterError("features and labels must be equal length")
-    if x.shape[1] != config.input_dim:
-        raise ParameterError(f"feature dimension {x.shape[1]} != {config.input_dim}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ParameterError("labels must be 0 or 1")
     if np.sum(y == 1) < 2 or np.sum(y == 0) < 2:
         raise ParameterError("need at least 2 examples per class")
-    model = MlpModel(config.input_dim, config.hidden_dims, config.dropout, seed=config.seed)
+    model = MlpModel(x.shape[1], config.hidden_dims, config.dropout, seed=config.seed)
     weights = class_balance_weights(y.astype(np.int64))
     rng = np.random.default_rng(config.seed)
     state = adam_init(model.params)

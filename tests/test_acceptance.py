@@ -93,8 +93,8 @@ def test_criterion_3_baum_welch_oracle():
         m = int(rng.integers(2, 4))
         seqs = [rng.integers(0, m, size=int(rng.integers(2, 7)))
                 for _ in range(int(rng.integers(1, 4)))]
-        cfg = TrainConfig(n_states=2, max_iters=1, seed=trial)
-        model, _ = baum_welch(seqs, m, cfg)
+        cfg = TrainConfig(max_iters=1)
+        model, _ = baum_welch(seqs, m, 2, cfg, np.random.default_rng(trial))
         start = init_random(2, m, np.random.default_rng(trial))
         pi_c, trans_c, emit_c = oracles.brute_em_counts(start, seqs)
         worst = max(
@@ -107,7 +107,9 @@ def test_criterion_3_baum_welch_oracle():
     for trial in range(10):
         gen = oracles.random_model(rng, 2, 3)
         seqs = [sample(gen, 10, rng) for _ in range(15)]
-        _, history = baum_welch(seqs, 3, TrainConfig(n_states=2, max_iters=25, seed=trial))
+        _, history = baum_welch(
+            seqs, 3, 2, TrainConfig(max_iters=25), np.random.default_rng(trial)
+        )
         slack = max(slack, float(-min(np.diff(history), default=0.0)))
     report(
         3,
@@ -230,12 +232,12 @@ def desk():
     test = synth.sample_dataset(1000, 1000, 200, seed=2)
     ens_cfg = EnsembleConfig(
         n_pos_models=20, n_neg_models=20, subset_fraction=0.1,
-        state_counts=(3, 4, 5), train=TrainConfig(n_states=5, max_iters=25),
+        state_counts=(3, 4, 5), train=TrainConfig(max_iters=25),
         master_seed=42,
     )
     single_cfg = EnsembleConfig(
         n_pos_models=1, n_neg_models=1, subset_fraction=1.0,
-        state_counts=(5,), train=TrainConfig(n_states=5, max_iters=25),
+        state_counts=(5,), train=TrainConfig(max_iters=25),
         master_seed=42,
     )
     start = time.time()
@@ -294,7 +296,7 @@ def test_criterion_10_degenerate_diversity():
     train = synth.sample_dataset(600, 600, 200, seed=1)
     cfg = EnsembleConfig(
         n_pos_models=20, n_neg_models=20, subset_fraction=0.05,
-        state_counts=(5,), train=TrainConfig(n_states=5, max_iters=25),
+        state_counts=(5,), train=TrainConfig(max_iters=25),
         master_seed=42,
     )
     jobs = make_training_jobs(train, cfg)
@@ -334,7 +336,7 @@ def test_criterion_11_coverage_formula():
     for master_seed in range(50):
         cfg = EnsembleConfig(
             n_pos_models=250, n_neg_models=1, subset_fraction=0.01,
-            state_counts=(2,), train=TrainConfig(n_states=2, max_iters=1),
+            state_counts=(2,), train=TrainConfig(max_iters=1),
             master_seed=master_seed,
         )
         jobs = make_training_jobs(rng_template, cfg)

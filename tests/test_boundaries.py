@@ -74,6 +74,20 @@ class TestModelFile:
         assert main(["diversity", "--model", str(bad), "--out", str(tmp_path)]) == 3
 
 
+    def test_deeply_nested_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["diversity", "--model", str(bad), "--out", str(tmp_path)]) == 3
+        assert "RecursionError" in capsys.readouterr().err
+
+    def test_train_config_with_per_job_keys_exits_3(self, trained, tmp_path, capsys):
+        # a model file from when TrainConfig held n_states and seed
+        def edit(payload):
+            payload["config"]["train"].update(n_states=5, seed=0)
+
+        assert score_edited(trained, tmp_path, edit) == 3
+        assert "unexpected keyword argument 'n_states'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("provenance", [5, {"dataset": 5}])
     def test_provenance_not_an_object_exits_3(self, trained, tmp_path, capsys, provenance):
         assert score_edited(trained, tmp_path, lambda p: p.update(provenance=provenance)) == 3
@@ -97,8 +111,7 @@ def model_payloads(draw):
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n_pos, n_neg = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     seed = st.integers(0, 2**64 - 1)
-    train = TrainConfig(n_states=counts[0], max_iters=draw(st.integers(1, 50)),
-                        tol=draw(st.floats(0.0, 1.0)), seed=draw(seed),
+    train = TrainConfig(max_iters=draw(st.integers(1, 50)), tol=draw(st.floats(0.0, 1.0)),
                         floor=draw(st.floats(0.0, 1e-3)))
     config = EnsembleConfig(n_pos_models=n_pos, n_neg_models=n_neg,
                             subset_fraction=draw(st.floats(1e-9, 1.0)),
@@ -203,6 +216,63 @@ class TestFeatureCsv:
         assert "features.csv:6:" in capsys.readouterr().err
 
 
+class TestSeeds:
+    """A seed is a non-negative int: a bad flag or config value exits 2, a bad
+    model file value exits 3, and none ends in a traceback."""
+
+    @pytest.mark.parametrize("seed", ["-5", "1.5"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "generate", "classify-nn"])
+    def test_bad_flag_exits_2(self, trained, tmp_path, capsys, command, seed):
+        corpus, model = trained
+        inputs = {
+            "train": ["--config", str(write_config(tmp_path / "run.ini", corpus))],
+            "evaluate": ["--model", str(model), "--data", str(corpus)],
+            "generate": ["--model", str(model), "--label", "1", "--count", "2",
+                         "--length", "3"],
+            "classify-nn": ["--features", str(corpus), "--labels", str(corpus)],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *inputs, "--seed", seed, "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("train", "master_seed = 7", "master_seed = -1"),
+        ("train", "[data]\n", "[data]\nimbalance_ratio = 2\nimbalance_seed = -3\n"),
+        ("classify-nn", "seed = 3", "seed = -1"),
+    ])
+    def test_bad_config_value_exits_2(self, trained, tmp_path, capsys, command, old, new):
+        corpus, model = trained
+        config = write_config(tmp_path / "run.ini", corpus)
+        config.write_text(config.read_text(encoding="utf-8").replace(old, new),
+                          encoding="utf-8")
+        assert main(["features", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 0
+        inputs = {
+            "train": [],
+            "classify-nn": ["--features", str(tmp_path / "features.csv"),
+                            "--labels", str(corpus)],
+        }[command]
+        assert main([command, *inputs, "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_bad_model_file_value_exits_3(self, trained, tmp_path, capsys, command, seed):
+        corpus, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["config"]["master_seed"] = seed
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([command, "--model", str(bad), "--data", str(corpus),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "master_seed must be a non-negative integer" in err and "Traceback" not in err
+
+
 class TestParams:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -249,3 +319,25 @@ def test_cli_import_leaves_scipy_optimize_out(trained, tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "similarity.csv").is_file()
+
+
+def test_classify_nn_leaves_numpy_ma_out(trained, tmp_path):
+    # np.unique imports numpy.ma; the MLP's class weights count labels without it
+    corpus, model = trained
+    assert main(["features", "--model", str(model), "--data", str(corpus),
+                 "--out", str(tmp_path)]) == 0
+    src = str(Path(hmm_ensemble.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from hmm_ensemble.cli import main\n"
+        "code = main(['classify-nn', '--features', sys.argv[1], '--labels', sys.argv[2],\n"
+        "             '--out', sys.argv[3]])\n"
+        "sys.exit(code or ('numpy.ma loaded' if 'numpy.ma' in sys.modules else 0))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "features.csv"),
+                          str(corpus), str(tmp_path / "nn")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "nn" / "mlp.json").is_file()

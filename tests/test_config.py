@@ -123,13 +123,13 @@ class TestConfigLayer:
         assert list(sections) == ["data", "ensemble", "train", "mlp"]
         assert set(sections["data"]) == field_names(DataConfig)
         assert set(sections["ensemble"]) == field_names(EnsembleConfig, "train")
-        assert set(sections["train"]) == field_names(TrainConfig, "n_states", "seed")
-        assert set(sections["mlp"]) == field_names(MlpConfig, "input_dim")
+        assert set(sections["train"]) == field_names(TrainConfig)
+        assert set(sections["mlp"]) == field_names(MlpConfig)
 
     def test_defaults_are_the_library_defaults(self):
         cfg = RunConfig()
-        assert cfg.ensemble_config() == EnsembleConfig(train=TrainConfig(n_states=3))
-        assert cfg.mlp_config(input_dim=7) == MlpConfig(input_dim=7)
+        assert cfg.ensemble_config() == EnsembleConfig()
+        assert cfg.mlp == MlpConfig()
         assert cfg.data == DataConfig()
 
     def test_resolved_text_round_trips(self, tmp_path):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,7 +63,7 @@ def small_config(**kwargs):
         n_neg_models=2,
         subset_fraction=0.5,
         state_counts=(2, 3),
-        train=TrainConfig(n_states=2, max_iters=3, seed=0),
+        train=TrainConfig(max_iters=3),
         master_seed=1234,
     )
     defaults.update(kwargs)
@@ -211,7 +210,7 @@ class TestTrainEnsemble:
 
     def test_failure_names_job(self):
         ds = synthetic_dataset()
-        bad = small_config(train=TrainConfig(n_states=2, max_iters=3, floor=0.4))
+        bad = small_config(train=TrainConfig(max_iters=3, floor=0.4))
         with pytest.raises(ParameterError, match="job 0"):
             train_ensemble(ds, bad)
 
@@ -274,7 +273,7 @@ class TestTrainingUnits:
             n_pos_models=int(rng.integers(4, 10)),
             n_neg_models=int(rng.integers(4, 10)),
             subset_fraction=float(rng.uniform(0.05, 0.3)),
-            train=TrainConfig(n_states=2, max_iters=10, tol=1e-2),
+            train=TrainConfig(max_iters=10, tol=1e-2),
             master_seed=seed,
         )
         jobs = make_training_jobs(ds, cfg)
@@ -283,8 +282,8 @@ class TestTrainingUnits:
         # jobs leave their units at different iterations
         assert len({len(h) for h in histories}) > 1
         for job, model, history in zip(jobs, models, histories):
-            own = replace(cfg.train, n_states=job.n_states, seed=job.model_seed)
-            alone, want = baum_welch([ds.sequences[i] for i in job.indices], 3, own)
+            alone, want = baum_welch([ds.sequences[i] for i in job.indices], 3, job.n_states,
+                                     cfg.train, np.random.default_rng(job.model_seed))
             assert len(history) == len(want)
             np.testing.assert_allclose(history, want, rtol=1e-12, atol=0)
             for name in ("pi", "A", "B"):
@@ -299,7 +298,7 @@ class TestTrainingUnits:
                                                    subset_fraction=fraction))
         calls = []
 
-        def record(job_sequences, n_symbols, config, rngs, ids):
+        def record(job_sequences, n_symbols, n_states, config, rngs, ids):
             calls.append(list(ids))
             return [(None, [])] * len(ids)
 
@@ -346,7 +345,7 @@ class TestTrainingUnits:
                             n_states=1) for i in (0, 1)]
         assert _plan_units(ds, jobs) == [[0, 1]]
         with pytest.raises(NumericError, match="training job 1 failed"):
-            train_jobs(ds, jobs, TrainConfig(n_states=1, floor=0.0))
+            train_jobs(ds, jobs, TrainConfig(floor=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -539,7 +538,7 @@ class TestSequenceLengthRobustness:
             n_neg_models=8,
             subset_fraction=0.25,
             state_counts=(2, 3),
-            train=TrainConfig(n_states=2, max_iters=10, seed=0),
+            train=TrainConfig(max_iters=10),
             master_seed=99,
         )
         model = train_ensemble(ds, cfg)

@@ -204,9 +204,9 @@ class TestViterbi:
 
 class TestBaumWelch:
     def test_single_token_converges_to_floored_point_mass(self):
-        cfg = TrainConfig(n_states=1, max_iters=10, seed=0, floor=1e-10)
+        cfg = TrainConfig(max_iters=10, floor=1e-10)
         seqs = [np.zeros(5, dtype=np.int64) for _ in range(3)]
-        model, _ = baum_welch(seqs, 3, cfg)
+        model, _ = baum_welch(seqs, 3, 1, cfg, np.random.default_rng(0))
         floored = oracles.floor_renormalize(np.array([[1.0, 0.0, 0.0]]), 1e-10)[0]
         assert model.B[0] == pytest.approx(floored, rel=1e-12)
 
@@ -216,8 +216,8 @@ class TestBaumWelch:
             m = int(rng.integers(2, 4))
             n_seqs = int(rng.integers(1, 4))
             seqs = [rng.integers(0, m, size=int(rng.integers(2, 7))) for _ in range(n_seqs)]
-            cfg = TrainConfig(n_states=2, max_iters=1, seed=trial, floor=1e-10)
-            model, _ = baum_welch(seqs, m, cfg)
+            cfg = TrainConfig(max_iters=1, floor=1e-10)
+            model, _ = baum_welch(seqs, m, 2, cfg, np.random.default_rng(trial))
             # replicate the random start, then re-estimate via enumeration
             start = init_random(2, m, np.random.default_rng(trial))
             pi_c, trans_c, emit_c = oracles.brute_em_counts(start, seqs)
@@ -235,7 +235,7 @@ class TestBaumWelch:
         rng = np.random.default_rng(4)
         generator = oracles.random_model(rng, 2, 2)
         seqs = [sample(generator, 6, rng) for _ in range(20)]
-        _, history = baum_welch(seqs, 2, TrainConfig(n_states=2, max_iters=25, seed=1))
+        _, history = baum_welch(seqs, 2, 2, TrainConfig(max_iters=25), np.random.default_rng(1))
         diffs = np.diff(history)
         assert np.all(diffs >= -1e-6)
 
@@ -244,14 +244,14 @@ class TestBaumWelch:
         generator = oracles.random_model(rng, 3, 3)
         seqs = [sample(generator, 8, rng) for _ in range(15)]
         _, history = baum_welch(
-            seqs, 3, TrainConfig(n_states=2, max_iters=25, seed=2, floor=0.0)
+            seqs, 3, 2, TrainConfig(max_iters=25, floor=0.0), np.random.default_rng(2)
         )
         assert np.all(np.diff(history) >= -1e-8)
 
     def test_stochastic_invariants_after_training(self):
         rng = np.random.default_rng(6)
         seqs = [rng.integers(0, 4, size=10) for _ in range(8)]
-        model, _ = baum_welch(seqs, 4, TrainConfig(n_states=3, max_iters=5, seed=3))
+        model, _ = baum_welch(seqs, 4, 3, TrainConfig(max_iters=5), np.random.default_rng(3))
         assert np.all(model.A >= 0) and np.all(model.B >= 0)
         assert np.all(np.abs(model.A.sum(1) - 1) < 1e-9)
         assert np.all(np.abs(model.B.sum(1) - 1) < 1e-9)
@@ -259,23 +259,23 @@ class TestBaumWelch:
 
     def test_empty_sequence_list(self):
         with pytest.raises(ParameterError):
-            baum_welch([], 3, TrainConfig(n_states=2))
+            baum_welch([], 3, 2, TrainConfig(), np.random.default_rng(0))
 
     def test_rerun_is_bit_identical(self):
         rng = np.random.default_rng(9)
         seqs = [rng.integers(0, 3, size=t) for t in (4, 7, 4, 5, 7)]
-        cfg = TrainConfig(n_states=2, max_iters=3, seed=5)
-        a, hist_a = baum_welch(seqs, 3, cfg)
-        b, hist_b = baum_welch(seqs, 3, cfg)
+        cfg = TrainConfig(max_iters=3)
+        a, hist_a = baum_welch(seqs, 3, 2, cfg, np.random.default_rng(5))
+        b, hist_b = baum_welch(seqs, 3, 2, cfg, np.random.default_rng(5))
         assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
         assert hist_a == hist_b
 
     def test_input_order_does_not_change_result(self):
         rng = np.random.default_rng(9)
         seqs = [rng.integers(0, 3, size=t) for t in (4, 7, 4, 5, 7)]
-        cfg = TrainConfig(n_states=2, max_iters=3, seed=5)
-        a, _ = baum_welch(seqs, 3, cfg)
-        b, _ = baum_welch(list(reversed(seqs)), 3, cfg)
+        cfg = TrainConfig(max_iters=3)
+        a, _ = baum_welch(seqs, 3, 2, cfg, np.random.default_rng(5))
+        b, _ = baum_welch(list(reversed(seqs)), 3, 2, cfg, np.random.default_rng(5))
         assert np.allclose(a.A, b.A, rtol=1e-9) and np.allclose(a.B, b.B, rtol=1e-9)
 
     def test_recovers_generator_likelihood(self):
@@ -287,7 +287,7 @@ class TestBaumWelch:
         rng = np.random.default_rng(10)
         train = [sample(generator, 20, rng) for _ in range(5000)]
         heldout = [sample(generator, 20, rng) for _ in range(300)]
-        model, _ = baum_welch(train, 2, TrainConfig(n_states=2, max_iters=25, seed=0))
+        model, _ = baum_welch(train, 2, 2, TrainConfig(max_iters=25), np.random.default_rng(0))
         tokens = sum(len(s) for s in heldout)
         got = sum(log_likelihood(model, s) for s in heldout) / tokens
         want = sum(log_likelihood(generator, s) for s in heldout) / tokens
@@ -392,7 +392,7 @@ class TestEStepProperties:
         start = HmmParams(pi=[1.0], A=[[1.0]], B=[[1.0, 0.0]])
         monkeypatch.setattr(hmm_mod, "init_random", lambda n, m, rng: start)
         with pytest.raises(NumericError):
-            baum_welch([np.array([0, 1])], 2, TrainConfig(n_states=1, floor=0.0))
+            baum_welch([np.array([0, 1])], 2, 1, TrainConfig(floor=0.0), np.random.default_rng(0))
 
 
 @st.composite
@@ -507,7 +507,7 @@ class TestJobAxis:
         rngs = [np.random.default_rng(k) for k in range(len(job_seqs))]
         tracemalloc.start()
         try:
-            hmm_mod._baum_welch_unit(job_seqs, 8, TrainConfig(n_states=5, max_iters=2), rngs)
+            hmm_mod._baum_welch_unit(job_seqs, 8, 5, TrainConfig(max_iters=2), rngs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -25,15 +25,15 @@ def separable_toy(n=80, seed=0):
 class TestConfig:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ParameterError):
-            MlpConfig(input_dim=2, epochs=0)
+            MlpConfig(epochs=0)
 
     def test_empty_hidden_dims_rejected(self):
         with pytest.raises(ParameterError):
-            MlpConfig(input_dim=2, hidden_dims=())
+            MlpConfig(hidden_dims=())
 
     def test_dropout_range(self):
         with pytest.raises(ParameterError):
-            MlpConfig(input_dim=2, dropout=1.0)
+            MlpConfig(dropout=1.0)
 
 
 class TestGradientCheck:
@@ -79,7 +79,7 @@ class TestTraining:
     def test_separable_toy_reaches_full_accuracy(self):
         x, y = separable_toy()
         cfg = MlpConfig(
-            input_dim=2, hidden_dims=(8, 4), dropout=0.1, batch_size=16,
+            hidden_dims=(8, 4), dropout=0.1, batch_size=16,
             learning_rate=0.01, seed=0,
         )
         model = mlp_train(x, y, cfg)
@@ -88,7 +88,7 @@ class TestTraining:
 
     def test_deterministic_for_seed(self):
         x, y = separable_toy(n=40)
-        cfg = MlpConfig(input_dim=2, hidden_dims=(6,), epochs=3, seed=11)
+        cfg = MlpConfig(hidden_dims=(6,), epochs=3, seed=11)
         a = mlp_train(x, y, cfg)
         b = mlp_train(x, y, cfg)
         for key in a.params:
@@ -97,12 +97,13 @@ class TestTraining:
     def test_single_class_rejected(self):
         x = np.zeros((4, 2))
         with pytest.raises(ParameterError):
-            mlp_train(x, np.ones(4), MlpConfig(input_dim=2))
+            mlp_train(x, np.ones(4), MlpConfig())
 
-    def test_dimension_mismatch(self):
+    def test_label_outside_zero_one_rejected(self):
         x, y = separable_toy(n=20)
-        with pytest.raises(ParameterError):
-            mlp_train(x, y, MlpConfig(input_dim=5))
+        y[0] = 2
+        with pytest.raises(ParameterError, match="0 or 1"):
+            mlp_train(x, y, MlpConfig())
 
     def test_loss_decreases_on_fixed_batch(self):
         x, y = separable_toy(n=32, seed=4)
@@ -141,14 +142,14 @@ class TestPredict:
 
     def test_batch_independence(self):
         x, y = separable_toy(n=40)
-        model = mlp_train(x, y, MlpConfig(input_dim=2, hidden_dims=(6,), epochs=2, seed=1))
+        model = mlp_train(x, y, MlpConfig(hidden_dims=(6,), epochs=2, seed=1))
         batch_scores = mlp_predict(model, x)
         single_scores = np.array([mlp_predict(model, row[None, :])[0] for row in x])
         assert np.allclose(batch_scores, single_scores, atol=1e-9)
 
     def test_scores_in_open_unit_interval(self):
         x, y = separable_toy(n=40)
-        model = mlp_train(x, y, MlpConfig(input_dim=2, hidden_dims=(6,), epochs=2, seed=2))
+        model = mlp_train(x, y, MlpConfig(hidden_dims=(6,), epochs=2, seed=2))
         scores = mlp_predict(model, x * 100)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
@@ -161,7 +162,7 @@ class TestPredict:
 class TestSerialization:
     def test_json_roundtrip_preserves_predictions(self):
         x, y = separable_toy(n=40)
-        model = mlp_train(x, y, MlpConfig(input_dim=2, hidden_dims=(6, 3), epochs=2, seed=9))
+        model = mlp_train(x, y, MlpConfig(hidden_dims=(6, 3), epochs=2, seed=9))
         blob = json.dumps(model.to_dict())
         back = MlpModel.from_dict(json.loads(blob))
         assert np.array_equal(mlp_predict(back, x), mlp_predict(model, x))
