@@ -6,6 +6,9 @@ files; output files embed the resolved config hash and master seed in
 leading ``#`` comment lines so reruns are byte-identical and auditable.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+A subcommand runs with numpy's floating-point errors raised, so a division
+by zero, an overflow or an invalid operation exits 4 instead of writing NaN
+or inf; kernels that take log 0 on purpose ignore it locally.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import ensemble as ens
 from . import mlp as mlp_mod
 from .config import RunConfig, config_hash, load_run_config, resolved_config_text
 from .diversity import similarity_matrix
-from .errors import DataError, NumericError, ParameterError, check_seed
+from .errors import DataError, NumericError, ParameterError, check_int
 from .hmm import sample
 from .metrics import EvalReport
 
@@ -103,7 +106,7 @@ def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
 def _seed_arg(text: str) -> int:
     """The argparse type of every --seed flag."""
     try:
-        return check_seed("--seed", int(text))
+        return check_int("--seed", int(text), 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
@@ -411,14 +414,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except ParameterError as exc:  # includes ConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

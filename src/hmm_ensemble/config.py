@@ -28,7 +28,8 @@ A config file looks like::
 Each section's keys, types and defaults are the fields of one dataclass
 (see SECTIONS); ``[train]`` fills ``EnsembleConfig.train``. Unknown keys
 are rejected so typos fail loudly; parse errors and non-finite floats name
-the offending [section] key.
+the offending [section] key. Loading builds every section's dataclass, so an
+out-of-range value fails at load even in a section the command never uses.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .ensemble import EnsembleConfig
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_int
 from .hmm import TrainConfig
 from .mlp import MlpConfig
 
@@ -55,7 +56,7 @@ class DataConfig:
     imbalance_seed: int = 0
 
     def __post_init__(self):
-        check_seed("imbalance_seed", self.imbalance_seed)
+        check_int("imbalance_seed", self.imbalance_seed, 0)
 
 
 # Section -> (dataclass, fields left out of the file). The [train] section
@@ -132,6 +133,8 @@ def load_run_config(path) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"[{section}] {key}: unknown key")
             cfg.sections[section][key] = _parse(section, key, raw)
+    # each section's dataclass checks its values, so a bad one fails here, not at its first use
+    _ = cfg.data, cfg.ensemble_config(), cfg.mlp
     return cfg
 
 

@@ -15,26 +15,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import EnsembleModel
-from .errors import ParameterError
+from .errors import ParameterError, check_rows
 from .hmm import HmmParams
 
-_POWER_TOL = 1e-12
-_POWER_CAP = 100_000
 _DAMPING = 1e-8
 
 
 class StationaryResult(NamedTuple):
     dist: np.ndarray
     degenerate: bool
-
-
-def _check_stochastic(A) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise ParameterError("transition matrix must be square")
-    if np.any(A < 0) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-8):
-        raise ParameterError("transition matrix must be row-stochastic")
-    return A
 
 
 def _is_primitive(A: np.ndarray) -> bool:
@@ -55,45 +44,42 @@ def _is_primitive(A: np.ndarray) -> bool:
 
 
 def stationary_distribution(A) -> StationaryResult:
-    """Fixed point of v @ A = v by power iteration from the uniform vector.
+    """The distribution v with v @ A = v, by state reduction (Grassmann,
+    Taksar & Heyman 1985).
 
-    Reducible or periodic chains cannot be iterated plainly; those (and any
-    chain that fails to converge within the iteration cap) come back flagged
-    degenerate with the exact fixed point of the chain damped toward uniform,
-    v = (1 - d) v A + d / n, from one linear solve.
+    State k = n-1, ..., 1 is censored out in turn: its row, scaled to the
+    mass it sends to lower states, is folded into the rows that reach it.
+    Then v[0] = 1, each v[k] is v[:k] times the censored column k, and v is
+    normalized. Only sums and products enter, never a difference, so the
+    result is accurate to rounding however slowly the chain mixes, in n - 1
+    steps. A chain that is not primitive (reducible or periodic) comes back
+    flagged degenerate, with the stationary vector of the chain damped
+    toward uniform, (1 - d) A + d / n, which is unique.
     """
-    A = _check_stochastic(A)
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise ParameterError("transition matrix must be square")
+    check_rows("transition matrix", A)
     n = A.shape[0]
-    if _is_primitive(A):
-        v = np.full(n, 1.0 / n)
-        for _ in range(_POWER_CAP):
-            nxt = v @ A
-            if np.abs(nxt - v).sum() < _POWER_TOL:
-                v = np.maximum(nxt, 0.0)
-                return StationaryResult(v / v.sum(), False)
-            v = nxt
-    # I - (1 - d) A is nonsingular: every eigenvalue of (1 - d) A is below 1 in size
-    v = np.linalg.solve((np.eye(n) - (1.0 - _DAMPING) * A).T, np.full(n, _DAMPING / n))
-    v = np.maximum(v, 0.0)
-    return StationaryResult(v / v.sum(), True)
-
-
-def _check_prob_vector(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ParameterError(f"{name} must be a 1-D probability vector")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-8:
-        raise ParameterError(f"{name} must be non-negative and sum to 1")
-    return p
+    degenerate = not _is_primitive(A)
+    # both chains are irreducible, and so is each censored one: state k sends
+    # mass to some lower state, and no sum below is 0
+    P = (1.0 - _DAMPING) * A + _DAMPING / n if degenerate else A.copy()
+    for k in range(n - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum()
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    v = np.ones(n)
+    for k in range(1, n):
+        v[k] = v[:k] @ P[:k, k]
+    return StationaryResult(v / v.sum(), degenerate)
 
 
 def hellinger(p, q) -> float:
     """Hellinger distance in [0, 1] between two categorical distributions."""
-    p = _check_prob_vector(p, "p")
-    q = _check_prob_vector(q, "q")
-    if p.shape != q.shape:
-        raise ParameterError("distributions must have equal length")
-    return float(_hellinger_matrix(p[None, :], q[None, :])[0, 0])
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ParameterError("distributions must be 1-D and of equal length")
+    return float(_hellinger_matrix(check_rows("p", p[None, :]), check_rows("q", q[None, :]))[0, 0])
 
 
 def _hellinger_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

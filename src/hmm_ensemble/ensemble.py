@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DataError, ParameterError, check_seed
+from .errors import DataError, NumericError, ParameterError, check_int
 from .hmm import (
     HmmParams,
     TrainConfig,
@@ -64,16 +64,15 @@ class EnsembleConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_pos_models < 1 or self.n_neg_models < 1:
-            raise ParameterError("model counts must be >= 1")
+        check_int("n_pos_models", self.n_pos_models, 1)
+        check_int("n_neg_models", self.n_neg_models, 1)
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ParameterError("subset_fraction must be in (0, 1]")
-        if not self.state_counts:
-            raise ParameterError("state_counts must be non-empty")
-        object.__setattr__(self, "state_counts", tuple(int(c) for c in self.state_counts))
-        if min(self.state_counts) < 1:
-            raise ParameterError("state counts must be >= 1")
-        check_seed("master_seed", self.master_seed)
+        if not isinstance(self.state_counts, (list, tuple)) or not self.state_counts:
+            raise ParameterError("state_counts must be a non-empty list or tuple")
+        counts = tuple(check_int("state count", c, 1) for c in self.state_counts)
+        object.__setattr__(self, "state_counts", counts)
+        check_int("master_seed", self.master_seed, 0)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -202,12 +201,15 @@ class EnsembleModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleModel":
+        tokens = d["vocabulary"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError("vocabulary must be a list of strings")
         return cls(
             positive_models=[HmmParams.from_dict(p) for p in d["positive_models"]],
             negative_models=[HmmParams.from_dict(p) for p in d["negative_models"]],
-            vocabulary=Vocabulary(d["vocabulary"]),
+            vocabulary=Vocabulary(tokens),
             config=EnsembleConfig.from_dict(d["config"]),
-            seeds=[(int(a), int(b)) for a, b in d["seeds"]],
+            seeds=[(check_int("seed", a, 0), check_int("seed", b, 0)) for a, b in d["seeds"]],
         )
 
 
@@ -344,8 +346,17 @@ def score_corpus(ensemble: EnsembleModel, corpus) -> list[int]:
 
 
 def feature_vectors(ensemble: EnsembleModel, corpus) -> np.ndarray:
-    """L2-normalized per-model log-likelihood vectors (one row per sequence)."""
+    """L2-normalized per-model log-likelihood vectors (one row per sequence).
+
+    A sequence that some model cannot emit has no feature vector: its
+    log-likelihood is -inf, so NumericError names the first such sequence
+    and model column.
+    """
     raw = log_likelihood_matrix(ensemble, corpus)
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise NumericError(f"sequence {i}: log-likelihood under model column {j} is not finite")
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     return raw / np.where(norms > 0, norms, 1.0)
 

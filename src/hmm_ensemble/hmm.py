@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_int, check_rows
 
 # A token sequence is a 1-D integer array of token ids in [0, m).
 TokenSequence = np.ndarray
@@ -109,13 +109,8 @@ class HmmParams:
             raise ParameterError(
                 f"inconsistent shapes: pi {pi.shape}, A {A.shape}, B {B.shape}"
             )
-        for name, arr in (("pi", pi[None, :]), ("A", A), ("B", B)):
-            # written so that NaN fails it, since NaN also passes the row sum test
-            if not np.all(arr >= 0):
-                raise ParameterError(f"{name} has negative or non-finite entries")
-            if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
-                raise ParameterError(f"rows of {name} must sum to 1")
-        for arr in (pi, A, B):
+        for name, arr in (("pi", pi), ("A", A), ("B", B)):
+            check_rows(name, arr)
             arr.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "A", A)
@@ -141,7 +136,7 @@ class HmmParams:
     @classmethod
     def from_dict(cls, d: dict) -> "HmmParams":
         params = cls(pi=np.array(d["pi"]), A=np.array(d["A"]), B=np.array(d["B"]))
-        if params.n != d["n"] or params.m != d["m"]:
+        if params.n != check_int("n", d["n"], 1) or params.m != check_int("m", d["m"], 1):
             raise DataError("serialized n/m do not match array shapes")
         return params
 
@@ -155,8 +150,7 @@ class TrainConfig:
     floor: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
+        check_int("max_iters", self.max_iters, 1)
         if self.tol < 0:
             raise ParameterError("tol must be >= 0")
         if self.floor < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_seed
+from .errors import ParameterError, check_int
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -38,18 +38,15 @@ class MlpConfig:
     def __post_init__(self):
         if not self.hidden_dims:
             raise ParameterError("hidden_dims must be non-empty")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ParameterError("hidden dims must be >= 1")
+        dims = tuple(check_int("hidden dim", h, 1) for h in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", dims)
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        check_seed("seed", self.seed)
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
+        check_int("seed", self.seed, 0)
 
 
 class MlpModel:
@@ -68,12 +65,10 @@ class MlpModel:
         dropout: float = 0.0,
         seed: int = 0,
     ):
-        if input_dim < 1:
-            raise ParameterError("input_dim must be >= 1")
         if not 0.0 <= dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
-        self.input_dim = int(input_dim)
-        self.hidden_dims = tuple(int(h) for h in hidden_dims)
+        self.input_dim = check_int("input_dim", input_dim, 1)
+        self.hidden_dims = tuple(check_int("hidden dim", h, 1) for h in hidden_dims)
         self.dropout = float(dropout)
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}

@@ -6,6 +6,7 @@ code path with the library's dynamic programs.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,6 +134,27 @@ def brute_assignment(cost, tol=1e-12):
     totals = [sum(cost[i, j] for i, j in enumerate(m)) for m in maps]
     best = min(totals)
     return best, [m for m, t in zip(maps, totals) if t <= best + tol]
+
+
+def brute_stationary(A):
+    """Exact stationary distribution of a chain with a unique one, as Fractions.
+
+    Gauss-Jordan elimination over the rationals on v (A - I) = 0 with the
+    last equation replaced by sum(v) = 1; float entries convert exactly.
+    """
+    A = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    n = len(A)
+    # row j of the augmented system is equation j: sum_i v_i (A_ij - [i == j]) = 0
+    rows = [[A[i][j] - (i == j) for i in range(n)] + [Fraction(0)] for j in range(n - 1)]
+    rows.append([Fraction(1)] * n + [Fraction(1)])
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
 
 
 def random_model(rng, n, m):

@@ -25,6 +25,7 @@ from hmm_ensemble import (
     mlp,
     roc_auc,
 )
+from hmm_ensemble import ensemble as ens
 from hmm_ensemble.cli import _load_model, _write_json, main
 from test_cli import write_config, write_corpus
 
@@ -88,6 +89,35 @@ class TestModelFile:
         assert score_edited(trained, tmp_path, edit) == 3
         assert "unexpected keyword argument 'n_states'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        # one positive model, so the count true (== 1) matches it
+        lambda p: (p["config"].update(n_pos_models=True), p["positive_models"].pop(),
+                   p["seeds"].pop(1)),
+        lambda p: p["config"].update(state_counts="345"),
+        lambda p: p["positive_models"][0].update(n=float(p["positive_models"][0]["n"])),
+        lambda p: p.update(vocabulary="".join(p["vocabulary"])),
+        lambda p: p["config"]["train"].update(max_iters=8.5),
+        lambda p: p["seeds"][0].__setitem__(0, 1.5),
+    ], ids=["bool-model-count", "string-state-counts", "float-n", "string-vocabulary",
+            "float-max-iters", "float-seed"])
+    def test_loose_value_exits_3(self, trained, tmp_path, capsys, edit):
+        assert score_edited(trained, tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "invalid model" in err and "Traceback" not in err
+        assert not (tmp_path / "s" / "scores.csv").exists()
+
+    def test_non_string_token_exits_3(self, trained, tmp_path, capsys):
+        # generate would join the token into a sequence and fail there
+        _, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["vocabulary"][1] = None
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["generate", "--model", str(bad), "--label", "1", "--count", "2",
+                     "--length", "3", "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert "vocabulary must be a list of strings" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("provenance", [5, {"dataset": 5}])
     def test_provenance_not_an_object_exits_3(self, trained, tmp_path, capsys, provenance):
         assert score_edited(trained, tmp_path, lambda p: p.update(provenance=provenance)) == 3
@@ -144,6 +174,78 @@ class TestRoundTrip:
             assert provenance == payload["provenance"]
             _write_json(second, {**loaded.to_dict(), "provenance": provenance})
             assert second.read_bytes() == first.read_bytes()
+
+
+def json_paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+class TestMutatedModelFile:
+    """One field of model.json swapped for a value of another type, or deleted:
+    score and evaluate either run or exit 3, never with an uncaught exception.
+    An integer of the model itself (outside ``provenance``) swapped for
+    anything but an integer always exits 3."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_score_and_evaluate_exit_0_or_3(self, trained, data):
+        corpus, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        path = data.draw(st.sampled_from(sorted(json_paths(payload), key=repr)))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        old, strict = parent[path[-1]], False
+        if isinstance(path[-1], str) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            new = data.draw(st.sampled_from([None, True, 0, -1, 1.5, 2**70, "", "x", [], {}]))
+            parent[path[-1]] = new
+            strict = path[0] != "provenance" and type(old) is int and type(new) is not int
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "model.json"
+            bad.write_text(json.dumps(payload), encoding="utf-8")
+            for command in ("score", "evaluate"):
+                code = main([command, "--model", str(bad), "--data", str(corpus),
+                             "--out", str(Path(tmp) / command)])
+                assert code == 3 if strict else code in (0, 3)
+
+
+class TestNumericFailure:
+    def test_impossible_sequence_features_exit_4(self, trained, tmp_path, capsys):
+        # the first positive model emits only token 0, and the corpus holds every token
+        corpus, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        first = payload["positive_models"][0]
+        first["B"] = [[1.0, 0.0, 0.0]] * first["n"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["features", "--model", str(bad), "--data", str(corpus),
+                     "--out", str(tmp_path / "f")]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: sequence 0: " in err and "model column 0 " in err
+        assert not (tmp_path / "f" / "features.csv").exists()
+
+    def test_division_by_zero_exits_4(self, trained, tmp_path, capsys, monkeypatch):
+        def dividing(model, ll):
+            return (np.ones(len(ll)) / 0.0).tolist()
+
+        corpus, model = trained
+        monkeypatch.setattr(ens, "matchup_scores", dividing)
+        assert main(["score", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: divide by zero" in err and "Traceback" not in err
+        assert not (tmp_path / "scores.csv").exists()
 
 
 class TestClassifyNnFlags:
@@ -258,6 +360,19 @@ class TestSeeds:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "seed must be a non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [("dropout = 0.0", "dropout = 2"),
+                                          ("seed = 3", "seed = -1")])
+    def test_bad_mlp_section_stops_train(self, trained, tmp_path, capsys, old, new):
+        # train never uses [mlp], but it loads and checks every section
+        corpus, _ = trained
+        config = write_config(tmp_path / "run.ini", corpus)
+        config.write_text(config.read_text(encoding="utf-8").replace(old, new),
+                          encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert new.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     @pytest.mark.parametrize("command", ["score", "evaluate"])

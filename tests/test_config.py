@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hmm_ensemble import EnsembleConfig, MlpConfig, TrainConfig
+from hmm_ensemble import EnsembleConfig, MlpConfig, ParameterError, TrainConfig
 from hmm_ensemble.cli import main
 from hmm_ensemble.config import (
     SECTIONS,
@@ -69,23 +69,36 @@ def write_ini(cfg: RunConfig, path: Path) -> None:
 
 
 # Values of each field type; paths hold no whitespace, '#' or ';', which
-# would start an inline comment.
+# would start an inline comment. Loading checks every value's range: each
+# integer field takes any integer from 1 up, and each float key draws from
+# its own range (FLOATS).
 VALUES = {
-    int: st.integers(-(2**63), 2**64),
-    float: st.floats(allow_nan=False, allow_infinity=False),
+    int: st.integers(1, 2**64),
     tuple[int, ...]: st.lists(st.integers(1, 999), min_size=1, max_size=4).map(tuple),
     str | None: st.none() | st.text(alphabet="abcXYZ019/._-%:=\u00e9", min_size=1),
+}
+
+
+FLOATS = {
+    "imbalance_ratio": st.floats(allow_nan=False, allow_infinity=False),
+    "subset_fraction": st.floats(0.0, 1.0, exclude_min=True),
+    "tol": st.floats(0.0, allow_infinity=False),
+    "floor": st.floats(0.0, allow_infinity=False),
+    "dropout": st.floats(0.0, 1.0, exclude_max=True),
+    "learning_rate": st.floats(0.0, allow_infinity=False, exclude_min=True),
 }
 
 
 def run_configs():
     """Every key of every section, in the order RunConfig keeps them."""
     layout = RunConfig().sections
+
+    def values_of(section, name):
+        kind = typing.get_type_hints(SECTIONS[section][0])[name]
+        return FLOATS[name] if kind is float else VALUES[kind]
+
     drawn = st.fixed_dictionaries({
-        section: st.fixed_dictionaries({
-            name: VALUES[typing.get_type_hints(SECTIONS[section][0])[name]]
-            for name in values
-        })
+        section: st.fixed_dictionaries({name: values_of(section, name) for name in values})
         for section, values in layout.items()
     })
     return drawn.map(lambda d: RunConfig(
@@ -165,6 +178,16 @@ class TestConfigLayer:
         path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "imbalance_seed", "-1"), ("ensemble", "n_pos_models", "0"),
+        ("train", "max_iters", "0"), ("mlp", "dropout", "2"), ("mlp", "batch_size", "0"),
+    ])
+    def test_out_of_range_value_fails_at_load(self, tmp_path, section, key, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=key):
+            load_run_config(path)
 
     def test_unknown_section_exits_2(self, tmp_path, capsys):
         path = tmp_path / "run.ini"

@@ -1,4 +1,5 @@
 import itertools
+import timeit
 
 import numpy as np
 import pytest
@@ -64,6 +65,39 @@ class TestStationary:
         with pytest.raises(ParameterError):
             stationary_distribution([[1.5, -0.5], [0.5, 0.5]])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError):
+            stationary_distribution([[np.nan, np.nan], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
+    def test_slowly_mixing_chain_is_exact(self, eps):
+        # primitive, so not degenerate, however slowly it mixes: v = [2/3, 1/3]
+        A = [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]
+        res = stationary_distribution(A)
+        assert not res.degenerate
+        assert np.abs(res.dist - [2 / 3, 1 / 3]).max() <= 1e-12
+        assert min(timeit.repeat(lambda: stationary_distribution(A), number=1, repeat=3)) < 5e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(1, 1000), st.integers(1, 2**40 // 5)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_matches_exact_rational_solution(self, weights):
+        # Entries are w / 2^40, so down to about 9e-13 and exact as floats.
+        # The diagonal takes the rest of each row, so it is positive, and
+        # the cycle 0 -> 1 -> ... -> 0 makes every chain irreducible: primitive.
+        n = len(weights)
+        W = np.array(weights, dtype=np.int64)
+        W[np.arange(n), (np.arange(n) + 1) % n] += 1
+        np.fill_diagonal(W, 0)
+        W[np.arange(n), np.arange(n)] = 2**40 - W.sum(axis=1)
+        A = W / 2.0**40
+        res = stationary_distribution(A)
+        assert not res.degenerate
+        exact = oracles.brute_stationary(A)
+        assert np.abs(res.dist - [float(x) for x in exact]).max() <= 1e-14
+
 
 class TestHellinger:
     def test_identity(self):
@@ -99,6 +133,12 @@ class TestHellinger:
     def test_invalid_vector(self):
         with pytest.raises(ParameterError):
             hellinger([0.5, 0.6], [0.5, 0.5])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError):
+            hellinger([np.nan, np.nan], [0.5, 0.5])
+        with pytest.raises(ParameterError):
+            hellinger([0.5, 0.5], [np.nan, 0.5])
 
 
 def cost_matrices(elements):

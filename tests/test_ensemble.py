@@ -405,6 +405,15 @@ class TestScoring:
         norms = np.linalg.norm(ll, axis=1, keepdims=True)
         assert np.allclose(feats, ll / norms, atol=1e-12)
 
+    def test_impossible_sequence_has_no_feature_vector(self):
+        # the positive model never emits token 1, so sequence 1 has ln p = -inf under it
+        mute = HmmParams(pi=[1.0], A=[[1.0]], B=[[1.0, 0.0]])
+        other = HmmParams(pi=[1.0], A=[[1.0]], B=[[0.5, 0.5]])
+        config = EnsembleConfig(n_pos_models=1, n_neg_models=1, state_counts=(1,))
+        model = EnsembleModel([mute], [other], Vocabulary("ab"), config, seeds=[(0, 0)] * 2)
+        with pytest.raises(NumericError, match="sequence 1: .* model column 0 "):
+            feature_vectors(model, [np.array([0, 0]), np.array([0, 1]), np.array([1])])
+
 
 class TestScoringProperties:
     @settings(max_examples=40, deadline=None)
