@@ -282,13 +282,16 @@ def cmd_generate(args) -> int:
 def _read_feature_csv(path: str) -> np.ndarray:
     """Wide numeric CSV as written by cmd_features: index column then floats.
 
-    Every row must be as wide as the header and hold finite numbers.
+    The header must name at least one feature column, and every row must be
+    as wide as the header and hold finite numbers.
     """
     rows = data_mod.csv_rows(_require_file(path))
     try:
         _, header = next(rows)
     except StopIteration:
         raise DataError(f"{path}: file is empty") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature columns after the index")
     features = []
     for lineno, row in rows:
         if len(row) != len(header):

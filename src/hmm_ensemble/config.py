@@ -42,7 +42,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .ensemble import EnsembleConfig
-from .errors import ConfigError, check_int
+from .errors import ConfigError, ParameterError, check_int
 from .hmm import TrainConfig
 from .mlp import MlpConfig
 
@@ -52,10 +52,12 @@ class DataConfig:
     """Where the training corpus lives and how to reshape it."""
 
     train_csv: str | None = None  # columns ``sequence`` and ``label``
-    imbalance_ratio: float = 0.0  # 0 disables imbalance construction
+    imbalance_ratio: float = 0.0  # 0 disables imbalance construction, else >= 1
     imbalance_seed: int = 0
 
     def __post_init__(self):
+        if not (self.imbalance_ratio == 0 or self.imbalance_ratio >= 1):
+            raise ParameterError(f"imbalance_ratio must be 0 or >= 1, got {self.imbalance_ratio!r}")
         check_int("imbalance_seed", self.imbalance_seed, 0)
 
 

@@ -37,7 +37,7 @@ from .hmm import (
     forward_batch,
     log_likelihood,
 )
-from .metrics import _check_inputs, _tie_groups
+from .metrics import _check_inputs, _finite_scores, _tie_groups
 
 DEFAULT_STATE_COUNTS = (3, 4, 5)
 
@@ -81,8 +81,13 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleConfig":
-        values = {f.name: d[f.name] for f in fields(cls)}  # a missing key is a KeyError
-        return cls(**{**values, "train": TrainConfig(**d["train"])})
+        """Exactly the fields of EnsembleConfig, and of TrainConfig under
+        ``train``: a missing key is a KeyError and an unknown one a TypeError."""
+        for where, kind, values in (("config", cls, d), ("config.train", TrainConfig, d["train"])):
+            missing = [f.name for f in fields(kind) if f.name not in values]
+            if missing:
+                raise KeyError(f"{where}.{missing[0]}")
+        return cls(**{**d, "train": TrainConfig(**d["train"])})
 
 
 @dataclass(frozen=True)
@@ -383,5 +388,5 @@ def choose_threshold(scores, labels) -> float:
 
 
 def classify(scores, threshold: float) -> np.ndarray:
-    """Label 1 iff score >= threshold."""
-    return (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
+    """Label 1 iff score >= threshold; non-finite scores are a ParameterError."""
+    return (_finite_scores(scores) >= threshold).astype(np.int64)

@@ -16,13 +16,18 @@ import numpy as np
 from .errors import ParameterError
 
 
-def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels)
+def _finite_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    if labels.ndim != 1 or labels.shape != scores.shape:
-        raise ParameterError("labels and scores must be 1-D and equal length")
     if not np.all(np.isfinite(scores)):
         raise ParameterError("scores must be finite")
+    return scores
+
+
+def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.asarray(labels)
+    scores = _finite_scores(scores)
+    if labels.ndim != 1 or labels.shape != scores.shape:
+        raise ParameterError("labels and scores must be 1-D and equal length")
     if not np.all((labels == 0) | (labels == 1)):
         raise ParameterError("labels must be 0 or 1")
     labels = labels.astype(np.int64)
@@ -79,7 +84,7 @@ def _average_precision(tp: np.ndarray, fp: np.ndarray) -> float:
 def confusion_at(labels, scores, threshold: float) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn) when predicting positive iff score >= threshold."""
     labels = np.asarray(labels, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores)
     if labels.shape != scores.shape:
         raise ParameterError("labels and scores must be equal length")
     pred = scores >= threshold

@@ -86,100 +86,69 @@ class MlpModel:
         self.params["W_out"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), (1, fan_in))
         self.params["b_out"] = np.zeros(1)
 
-    def _check_input(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.input_dim:
-            raise ParameterError(
-                f"feature dimension {x.shape[1]} != input_dim {self.input_dim}"
-            )
-        return x
+    def forward_train(self, x, rng: np.random.Generator | None = None) -> tuple[np.ndarray, list]:
+        """Forward pass with per-batch normalization statistics.
 
-    def forward_train(
-        self,
-        x,
-        rng: np.random.Generator | None = None,
-        update_running: bool = True,
-        use_dropout: bool = True,
-    ) -> tuple[np.ndarray, list[dict]]:
-        """Training-mode forward pass: per-batch normalization statistics.
-
-        Returns (logits, caches); caches hold the intermediates backward()
-        needs. Dropout requires ``rng`` unless disabled or rate 0.
+        With ``rng`` this is a training step: dropout masks are drawn (rate
+        > 0) and the running statistics move. Without it the pass draws
+        nothing and changes nothing, so the loss is a deterministic function
+        of the parameters. Returns (logits, caches) for backward().
         """
-        x = self._check_input(x)
-        h = x
+        return self._forward(x, rng, batch_stats=True)
+
+    def forward_eval(self, x) -> np.ndarray:
+        """Inference-mode logits: running statistics, no dropout."""
+        return self._forward(x, None, batch_stats=False)[0]
+
+    def _forward(self, x, rng, batch_stats: bool) -> tuple[np.ndarray, list]:
+        # the one layer loop: batch statistics for training, running ones for inference
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if h.shape[1] != self.input_dim:
+            raise ParameterError(f"feature dimension {h.shape[1]} != input_dim {self.input_dim}")
         caches = []
         for l in range(len(self.hidden_dims)):
             z = h @ self.params[f"W{l}"].T + self.params[f"b{l}"]
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
+            if batch_stats:
+                mu, var = z.mean(axis=0), z.var(axis=0)
+            else:
+                mu, var = self.running_mean[l], self.running_var[l]
             std = np.sqrt(var + BN_EPS)
             z_centered = z - mu
             z_hat = z_centered / std
             y = self.params[f"gamma{l}"] * z_hat + self.params[f"beta{l}"]
-            if update_running:
+            # mask: the ReLU's 0/1 gate, times the dropout mask in a training step
+            mask = y > 0
+            out = np.where(mask, y, 0.0)
+            if rng is not None:
                 self.running_mean[l] = (1 - BN_MOMENTUM) * self.running_mean[l] + BN_MOMENTUM * mu
                 self.running_var[l] = (1 - BN_MOMENTUM) * self.running_var[l] + BN_MOMENTUM * var
-            relu_mask = y > 0
-            a = np.where(relu_mask, y, 0.0)
-            if use_dropout and self.dropout > 0.0:
-                if rng is None:
-                    raise ParameterError("dropout needs a random generator")
-                drop_mask = (rng.random(a.shape) >= self.dropout) / (1.0 - self.dropout)
-            else:
-                drop_mask = None
-            out = a * drop_mask if drop_mask is not None else a
-            caches.append(
-                {
-                    "h_in": h,
-                    "z_centered": z_centered,
-                    "std": std,
-                    "z_hat": z_hat,
-                    "relu_mask": relu_mask,
-                    "drop_mask": drop_mask,
-                }
-            )
+                if self.dropout > 0.0:
+                    drop_mask = (rng.random(out.shape) >= self.dropout) / (1.0 - self.dropout)
+                    out *= drop_mask
+                    mask = mask * drop_mask
+            if batch_stats:
+                caches.append((h, z_centered, std, z_hat, mask))
             h = out
         logits = (h @ self.params["W_out"].T + self.params["b_out"]).ravel()
-        caches.append({"h_in": h})
+        caches.append(h)
         return logits, caches
 
-    def forward_eval(self, x) -> np.ndarray:
-        """Inference-mode logits: running statistics, no dropout."""
-        x = self._check_input(x)
-        h = x
-        for l in range(len(self.hidden_dims)):
-            z = h @ self.params[f"W{l}"].T + self.params[f"b{l}"]
-            z_hat = (z - self.running_mean[l]) / np.sqrt(self.running_var[l] + BN_EPS)
-            y = self.params[f"gamma{l}"] * z_hat + self.params[f"beta{l}"]
-            h = np.where(y > 0, y, 0.0)
-        return (h @ self.params["W_out"].T + self.params["b_out"]).ravel()
-
-    def backward(
-        self, logits: np.ndarray, targets: np.ndarray, caches: list[dict]
-    ) -> dict[str, np.ndarray]:
+    def backward(self, logits: np.ndarray, targets: np.ndarray, caches: list) -> dict:
         """Gradients of the mean binary cross-entropy w.r.t. every parameter."""
         batch = logits.shape[0]
         d_logit = (_sigmoid(logits) - targets) / batch
-        grads: dict[str, np.ndarray] = {}
-        top = caches[-1]
-        grads["W_out"] = d_logit[None, :] @ top["h_in"]
-        grads["b_out"] = np.array([d_logit.sum()])
+        grads = {"W_out": d_logit[None, :] @ caches[-1], "b_out": np.array([d_logit.sum()])}
         dh = d_logit[:, None] @ self.params["W_out"]
         for l in range(len(self.hidden_dims) - 1, -1, -1):
-            cache = caches[l]
-            if cache["drop_mask"] is not None:
-                dh = dh * cache["drop_mask"]
-            dy = dh * cache["relu_mask"]
-            grads[f"gamma{l}"] = (dy * cache["z_hat"]).sum(axis=0)
+            h_in, zc, std, z_hat, mask = caches[l]
+            dy = dh * mask
+            grads[f"gamma{l}"] = (dy * z_hat).sum(axis=0)
             grads[f"beta{l}"] = dy.sum(axis=0)
             dz_hat = dy * self.params[f"gamma{l}"]
-            std = cache["std"]
-            zc = cache["z_centered"]
             d_var = (dz_hat * zc).sum(axis=0) * (-0.5) / std**3
             d_mu = -(dz_hat.sum(axis=0)) / std + d_var * (-2.0) * zc.mean(axis=0)
             dz = dz_hat / std + d_var * 2.0 * zc / batch + d_mu / batch
-            grads[f"W{l}"] = dz.T @ cache["h_in"]
+            grads[f"W{l}"] = dz.T @ h_in
             grads[f"b{l}"] = dz.sum(axis=0)
             dh = dz @ self.params[f"W{l}"]
         return grads
@@ -245,14 +214,18 @@ def adam_step(
     state: dict,
     lr: float,
 ) -> None:
+    """One Adam step (Kingma & Ba 2015) that updates params and moments in place."""
     state["t"] += 1
     t = state["t"]
     for k, g in grads.items():
-        state["m"][k] = ADAM_BETA1 * state["m"][k] + (1 - ADAM_BETA1) * g
-        state["v"][k] = ADAM_BETA2 * state["v"][k] + (1 - ADAM_BETA2) * g**2
-        m_hat = state["m"][k] / (1 - ADAM_BETA1**t)
-        v_hat = state["v"][k] / (1 - ADAM_BETA2**t)
-        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state["m"][k], state["v"][k]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g**2
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
@@ -292,18 +265,18 @@ def mlp_predict(model: MlpModel, features) -> np.ndarray:
 def gradient_check(model: MlpModel, x, y, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Runs with dropout disabled and batch norm in per-batch mode, without
-    touching running statistics, so the loss is a deterministic function of
-    the parameters.
+    Uses the pure training pass (no generator): per-batch normalization, no
+    dropout and no running-statistics update, so the loss is a deterministic
+    function of the parameters.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
 
     def loss_at() -> float:
-        logits, _ = model.forward_train(x, update_running=False, use_dropout=False)
+        logits, _ = model.forward_train(x)
         return bce_loss(logits, y)
 
-    logits, caches = model.forward_train(x, update_running=False, use_dropout=False)
+    logits, caches = model.forward_train(x)
     analytic = model.backward(logits, y, caches)
     worst = 0.0
     for name, param in model.params.items():

@@ -27,6 +27,8 @@ from hmm_ensemble import (
 )
 from hmm_ensemble import ensemble as ens
 from hmm_ensemble.cli import _load_model, _write_json, main
+from hmm_ensemble.config import DataConfig
+from hmm_ensemble.metrics import confusion_at
 from test_cli import write_config, write_corpus
 
 
@@ -88,6 +90,19 @@ class TestModelFile:
 
         assert score_edited(trained, tmp_path, edit) == 3
         assert "unexpected keyword argument 'n_states'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"]["train"].pop("tol"),
+        lambda p: p["config"].pop("subset_fraction"),
+        lambda p: p["config"].update(bogus=1),
+        lambda p: p["config"]["train"].update(bogus=1),
+    ], ids=["missing-train-key", "missing-key", "unknown-key", "unknown-train-key"])
+    def test_config_keys_are_exactly_the_fields(self, trained, tmp_path, capsys, edit):
+        assert score_edited(trained, tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "invalid model" in err and "Traceback" not in err
+        # top-level keys beside the model's own stay allowed, as provenance is
+        assert score_edited(trained, tmp_path, lambda p: p.update(note="x")) == 0
 
     @pytest.mark.parametrize("edit", [
         # one positive model, so the count true (== 1) matches it
@@ -318,6 +333,43 @@ class TestFeatureCsv:
         assert "features.csv:6:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag", ["--features", "--eval-features"])
+    def test_no_feature_columns_exits_3(self, trained, tmp_path, capsys, flag):
+        corpus, model = trained
+        assert main(["features", "--model", str(model), "--data", str(corpus),
+                     "--out", str(tmp_path)]) == 0
+        index_only = tmp_path / "index.csv"
+        index_only.write_text("index\n" + "".join(f"{i}\n" for i in range(20)), encoding="utf-8")
+        files = dict.fromkeys(["--features", "--eval-features"], tmp_path / "features.csv")
+        files[flag] = index_only
+        argv = ["classify-nn", "--labels", str(corpus), "--eval-labels", str(corpus),
+                "--out", str(tmp_path / "nn")]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        assert f"{index_only}: no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "nn" / "mlp.json").exists()
+
+
+class TestDataSection:
+    @pytest.mark.parametrize("ratio", ["-3", "0.5"])
+    def test_bad_imbalance_ratio_exits_2_before_the_csv_is_read(self, tmp_path, capsys, ratio):
+        # the corpus does not exist, so reaching it would exit 3
+        config = write_config(tmp_path / "run.ini", tmp_path / "missing.csv")
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "[data]\n", f"[data]\nimbalance_ratio = {ratio}\n"), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "imbalance_ratio must be 0 or >= 1" in err and "Traceback" not in err
+
+    def test_library_config_accepts_zero_or_a_ratio_of_at_least_one(self):
+        for ratio in (0.0, 1.0, 50.0):
+            assert DataConfig(imbalance_ratio=ratio).imbalance_ratio == ratio
+        for ratio in (-3.0, 0.5, np.nan):
+            with pytest.raises(ParameterError):
+                DataConfig(imbalance_ratio=ratio)
+
+
 class TestSeeds:
     """A seed is a non-negative int: a bad flag or config value exits 2, a bad
     model file value exits 3, and none ends in a traceback."""
@@ -404,6 +456,12 @@ class TestMetrics:
             metric([0, 1, 0, 1], [np.nan, 1, 0, np.nan])
         with pytest.raises(ParameterError):
             metric([0, 1, 0, 1], [0, np.inf, 0, 1])
+
+    def test_non_finite_scores_rejected_at_a_threshold(self):
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            confusion_at([0, 1, 1], [np.nan, 1, np.nan], 0.5)
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            ens.classify([np.nan, 1], 0.5)
 
 
 def test_generate_without_seed_is_reproducible(trained, tmp_path):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmm_ensemble
 from hmm_ensemble import HmmParams, load_csv, sample
 from hmm_ensemble.cli import main
 
@@ -302,3 +307,37 @@ class TestClassifyNn:
         model = json.loads((nn_out / "mlp.json").read_text())
         assert model["input_dim"] == 4
         assert model["hidden_dims"] == [8, 4]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="needs /proc/self/status")
+    def test_peak_memory_over_imports(self, tmp_path):
+        # the default [mlp] head on 80 unit-norm rows of 500 features, in a fresh
+        # interpreter: VmHWM minus the VmRSS after import bounds what training,
+        # scoring and writing mlp.json hold at once
+        x = np.random.default_rng(0).normal(size=(80, 500))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        features, labels = tmp_path / "features.csv", tmp_path / "labels.csv"
+        rows = ["index," + ",".join(f"f{j}" for j in range(500))]
+        rows += [f"{i}," + ",".join(map(repr, row.tolist())) for i, row in enumerate(x)]
+        features.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        labels.write_text("sequence,label\n" + "ab,1\n" * 40 + "ab,0\n" * 40, encoding="utf-8")
+        code = (
+            "import sys\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith(key)) / 1024\n"
+            "from hmm_ensemble.cli import main\n"
+            "after_import = status('VmRSS:')\n"
+            "code = main(['classify-nn', '--features', sys.argv[1], '--labels', sys.argv[2],\n"
+            "             '--out', sys.argv[3]])\n"
+            "print(status('VmHWM:') - after_import)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(hmm_ensemble.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, str(features), str(labels),
+                              str(tmp_path / "nn")], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        growth_mb = float(run.stdout.split()[-1])
+        assert growth_mb < 40.0

@@ -80,7 +80,7 @@ VALUES = {
 
 
 FLOATS = {
-    "imbalance_ratio": st.floats(allow_nan=False, allow_infinity=False),
+    "imbalance_ratio": st.just(0.0) | st.floats(1.0, allow_infinity=False),
     "subset_fraction": st.floats(0.0, 1.0, exclude_min=True),
     "tol": st.floats(0.0, allow_infinity=False),
     "floor": st.floats(0.0, allow_infinity=False),

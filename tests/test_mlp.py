@@ -52,7 +52,7 @@ class TestGradientCheck:
         model = MlpModel(3, (), seed=7)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 2, size=6).astype(float)
-        logits, caches = model.forward_train(x, update_running=False, use_dropout=False)
+        logits, caches = model.forward_train(x)
         grads = model.backward(logits, y, caches)
         resid = (_sigmoid(x @ model.params["W_out"].T.ravel() + model.params["b_out"]) - y)
         assert grads["W_out"] == pytest.approx((resid[None, :] @ x) / 6, abs=1e-12)
@@ -66,10 +66,10 @@ class TestGradientCheck:
         model = MlpModel(3, (4,), dropout=0.0, seed=3)
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4).astype(float)
-        logits, caches = model.forward_train(x, update_running=False, use_dropout=False)
+        logits, caches = model.forward_train(x)
         single = model.backward(logits, y, caches)
         x2, y2 = np.vstack([x, x]), np.concatenate([y, y])
-        logits2, caches2 = model.forward_train(x2, update_running=False, use_dropout=False)
+        logits2, caches2 = model.forward_train(x2)
         double = model.backward(logits2, y2, caches2)
         for key in single:
             assert double[key] == pytest.approx(single[key], abs=1e-12)
@@ -111,11 +111,62 @@ class TestTraining:
         state = adam_init(model.params)
         losses = []
         for _ in range(10):
-            logits, caches = model.forward_train(x, use_dropout=False)
+            logits, caches = model.forward_train(x)
             losses.append(bce_loss(logits, y))
             grads = model.backward(logits, y.astype(float), caches)
             adam_step(model.params, grads, state, lr=1e-3)
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+class TestTrainingPass:
+    def test_without_generator_draws_nothing_and_changes_nothing(self):
+        x, _ = separable_toy(n=16)
+        model = MlpModel(2, (6, 4), dropout=0.5, seed=0)
+        means = [m.copy() for m in model.running_mean]
+        variances = [v.copy() for v in model.running_var]
+        first, _ = model.forward_train(x)
+        second, _ = model.forward_train(x)
+        assert np.array_equal(first, second)  # no dropout mask was drawn
+        for before, after in zip(means + variances, model.running_mean + model.running_var):
+            assert np.array_equal(before, after)
+
+    def test_with_generator_is_a_training_step(self):
+        x, _ = separable_toy(n=16)
+        model = MlpModel(2, (6, 4), dropout=0.5, seed=0)
+        means = [m.copy() for m in model.running_mean]
+        rng = np.random.default_rng(3)
+        model.forward_train(x, rng=rng)
+        assert all(not np.array_equal(a, b) for a, b in zip(means, model.running_mean))
+        # the step drew one uniform per row and hidden unit, layer by layer
+        fresh = np.random.default_rng(3)
+        for width in (6, 4):
+            fresh.random((16, width))
+        assert rng.random() == fresh.random()
+
+
+class TestAdam:
+    def test_step_updates_in_place_with_the_out_of_place_values(self):
+        rng = np.random.default_rng(8)
+        params = {"W": rng.normal(size=(3, 4)), "b": rng.normal(size=3)}
+        state = adam_init(params)
+        objects = [params["W"], params["b"], state["m"]["W"], state["v"]["b"]]
+        expected = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            adam_step(params, grads, state, lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g**2
+                m_hat, v_hat = m[k] / (1 - b1**t), v[k] / (1 - b2**t)
+                expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        now = [params["W"], params["b"], state["m"]["W"], state["v"]["b"]]
+        assert all(a is b for a, b in zip(now, objects))
+        for k in params:
+            assert np.all(params[k] == expected[k])
+            assert np.all(state["m"][k] == m[k]) and np.all(state["v"][k] == v[k])
 
 
 class TestWeightedSampling:
