@@ -27,7 +27,7 @@ import numpy as np
 from . import data as data_mod
 from . import ensemble as ens
 from . import mlp as mlp_mod
-from .config import RunConfig, config_hash, load_run_config, resolved_config_text
+from .config import DataConfig, RunConfig, config_hash, load_run_config, resolved_config_text
 from .diversity import similarity_matrix
 from .errors import DataError, NumericError, ParameterError, check_int
 from .hmm import sample
@@ -69,12 +69,15 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
-    """Returns the model and whatever provenance block the file carries.
+def _load_model(path: str) -> tuple[ens.EnsembleModel, dict, str, int]:
+    """Returns the model, whatever provenance block the file carries, and the
+    config hash and master seed its outputs carry: the hash train stored, or
+    for a file without one a hash of its ensemble config.
 
     Any file that does not parse into a valid model, whose provenance
-    block or its ``dataset`` entry is not an object, or whose
-    ``config_hash`` is not a string of hex digits, is a data error.
+    block or its ``dataset`` entry is not an object, whose ``config_hash``
+    is not a string of hex digits, or whose ``dataset.imbalance_ratio`` is
+    neither null nor a ratio DataConfig accepts, is a data error.
     """
     with open(_require_file(path), encoding="utf-8") as fh:
         try:
@@ -85,12 +88,18 @@ def _load_model(path: str) -> tuple[ens.EnsembleModel, dict]:
     provenance = payload.get("provenance", {})
     if not isinstance(provenance, dict) or not isinstance(provenance.get("dataset", {}), dict):
         raise DataError(f"{path}: invalid model (provenance and its dataset must be objects)")
+    ratio = provenance.get("dataset", {}).get("imbalance_ratio")
+    if ratio is not None:
+        try:
+            DataConfig(imbalance_ratio=ratio)
+        except ParameterError as exc:
+            raise DataError(f"{path}: invalid model (provenance.dataset.{exc})") from None
     cfg_hash = provenance.get("config_hash")
-    if "config_hash" in provenance and not (
-        isinstance(cfg_hash, str) and re.fullmatch("[0-9a-f]+", cfg_hash)
-    ):
+    if "config_hash" not in provenance:
+        cfg_hash = config_hash(json.dumps(model.config.to_dict(), sort_keys=True))
+    elif not (isinstance(cfg_hash, str) and re.fullmatch("[0-9a-f]+", cfg_hash)):
         raise DataError(f"{path}: invalid model (config_hash must be a hex string)")
-    return model, provenance
+    return model, provenance, cfg_hash, model.config.master_seed
 
 
 def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
@@ -103,18 +112,20 @@ def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
     return sequences, (np.asarray(labels, dtype=np.int64) if labels_required else None)
 
 
-def _seed_arg(text: str) -> int:
-    """The argparse type of every --seed flag."""
-    try:
-        return check_int("--seed", int(text), 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
+def _int_flag(minimum: int):
+    """The argparse type of an integer flag of at least ``minimum``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # not an integer, so check_int rejects it
+        try:
+            return check_int("flag", value, minimum)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix("flag ")) from None
 
-def _resolve_workers(threads: int) -> int:
-    if threads < 0:
-        raise ParameterError("--threads must be >= 0")
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    return parse
 
 
 def _out_dir(args) -> Path:
@@ -138,7 +149,7 @@ def cmd_train(args) -> int:
     resolved = resolved_config_text(cfg)
     cfg_hash = config_hash(resolved)
     ens_cfg = cfg.ensemble_config()
-    model = ens.train_ensemble(dataset, ens_cfg, _resolve_workers(args.threads))
+    model = ens.train_ensemble(dataset, ens_cfg, args.threads or os.cpu_count() or 1)
     out = _out_dir(args)
     payload = model.to_dict()
     payload["provenance"] = {
@@ -171,22 +182,11 @@ def _report_payload(report: EvalReport) -> dict:
     return payload
 
 
-def _model_hash_seed(model: ens.EnsembleModel, provenance: dict) -> tuple[str, int]:
-    """The config hash train stored in the model file, so every output of a
-    run carries the same one; a file without it gets a hash of its ensemble
-    config."""
-    if "config_hash" in provenance:
-        return provenance["config_hash"], model.config.master_seed
-    text = json.dumps(model.config.to_dict(), sort_keys=True)
-    return config_hash(text), model.config.master_seed
-
-
 def cmd_score(args) -> int:
-    model, provenance = _load_model(args.model)
+    model, _, cfg_hash, seed = _load_model(args.model)
     sequences, _ = _load_corpus(model, args.data, labels_required=False)
     ll = ens.log_likelihood_matrix(model, sequences)
     scores = ens.matchup_scores(model, ll)
-    cfg_hash, seed = _model_hash_seed(model, provenance)
     header = (
         ["index", "composite_score"]
         + [f"loglik_pos_{i}" for i in range(model.config.n_pos_models)]
@@ -202,11 +202,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, model_prov = _load_model(args.model)
+    model, model_prov, cfg_hash, seed = _load_model(args.model)
     sequences, labels = _load_corpus(model, args.data, labels_required=True)
-    if not (np.any(labels == 1) and np.any(labels == 0)):
-        raise DataError("labeled corpus must contain both classes")
-    cfg_hash, seed = _model_hash_seed(model, model_prov)
+    _check_classes(args.data, labels)
     if args.seed is not None:
         seed = args.seed
     if not 0.0 < args.calibration_fraction < 1.0:
@@ -236,10 +234,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    model, provenance = _load_model(args.model)
+    model, _, cfg_hash, seed = _load_model(args.model)
     sequences, _ = _load_corpus(model, args.data, labels_required=False)
     feats = ens.feature_vectors(model, sequences)
-    cfg_hash, seed = _model_hash_seed(model, provenance)
     header = ["index"] + [f"f{i}" for i in range(feats.shape[1])]
     rows = [[i] + [repr(float(v)) for v in row] for i, row in enumerate(feats)]
     out = _out_dir(args)
@@ -249,9 +246,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    model, provenance = _load_model(args.model)
+    model, _, cfg_hash, seed = _load_model(args.model)
     sim = similarity_matrix(model)
-    cfg_hash, seed = _model_hash_seed(model, provenance)
     path = _out_dir(args) / "similarity.csv"
     header, *rows = sim.to_rows()
     _write_csv(path, header, rows, cfg_hash, seed)
@@ -260,11 +256,8 @@ def cmd_diversity(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    model, provenance = _load_model(args.model)
-    if args.count < 1 or args.length < 1:
-        raise ParameterError("--count and --length must be >= 1")
+    model, _, cfg_hash, seed = _load_model(args.model)
     members = model.positive_models if args.label == 1 else model.negative_models
-    cfg_hash, seed = _model_hash_seed(model, provenance)
     if args.seed is not None:
         seed = args.seed
     rng = np.random.default_rng(seed)
@@ -308,10 +301,28 @@ def _read_feature_csv(path: str) -> np.ndarray:
     return np.array(features)
 
 
-def _read_labels(path: str) -> np.ndarray:
-    """Labels of a corpus CSV (``sequence`` and ``label`` columns)."""
-    _, labels = data_mod.read_csv_rows(_require_file(path))
-    return np.asarray(labels, dtype=np.int64)
+def _check_classes(path: str, labels: np.ndarray, minimum: int = 1) -> np.ndarray:
+    """``labels`` if each class has at least ``minimum`` rows, else a data
+    error naming the file they came from."""
+    counts = np.bincount(labels, minlength=2)
+    if counts.min() < minimum:
+        raise DataError(f"{path}: {counts[0]} rows of class 0 and {counts[1]} of class 1, "
+                        f"need at least {minimum} of each")
+    return labels
+
+
+def _read_examples(
+    features_path: str, labels_path: str, min_per_class: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A feature CSV and the labels of a corpus CSV (``sequence`` and ``label``
+    columns), which must have as many rows and each class at least
+    ``min_per_class`` times."""
+    features = _read_feature_csv(features_path)
+    _, labels = data_mod.read_csv_rows(_require_file(labels_path))
+    if features.shape[0] != len(labels):
+        raise DataError(f"{features_path} has {features.shape[0]} rows, "
+                        f"{labels_path} has {len(labels)}")
+    return features, _check_classes(labels_path, np.asarray(labels, dtype=np.int64), min_per_class)
 
 
 def cmd_classify_nn(args) -> int:
@@ -321,17 +332,10 @@ def cmd_classify_nn(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.sections["mlp"]["seed"] = args.seed
-    features = _read_feature_csv(args.features)
-    labels = _read_labels(args.labels)
-    if features.shape[0] != labels.shape[0]:
-        raise DataError("feature and label row counts differ")
-    if args.eval_features is None:
-        eval_x, eval_y = features, labels
-    else:
-        eval_x = _read_feature_csv(args.eval_features)
-        eval_y = _read_labels(args.eval_labels)
-        if eval_x.shape[0] != eval_y.shape[0]:
-            raise DataError("eval feature and eval label row counts differ")
+    features, labels = _read_examples(args.features, args.labels, mlp_mod.MIN_PER_CLASS)
+    eval_x, eval_y = features, labels
+    if args.eval_features is not None:
+        eval_x, eval_y = _read_examples(args.eval_features, args.eval_labels, 1)
         if eval_x.shape[1] != features.shape[1]:
             raise DataError(f"eval features are {eval_x.shape[1]} wide, "
                             f"training features {features.shape[1]}")
@@ -360,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed_help=None):
         if seed_help:
-            p.add_argument("--seed", type=_seed_arg, default=None, help=seed_help)
+            p.add_argument("--seed", type=_int_flag(0), default=None, help=seed_help)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train an ensemble from a labeled CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1, help="worker count (0 = auto)")
+    p.add_argument("--threads", type=_int_flag(0), default=1, help="worker count (0 = auto)")
     common(p, "override [ensemble] master_seed")
     p.set_defaults(func=cmd_train)
 
@@ -396,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample synthetic sequences from one class")
     p.add_argument("--model", required=True)
     p.add_argument("--label", type=int, choices=(0, 1), required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--count", type=_int_flag(1), required=True)
+    p.add_argument("--length", type=_int_flag(1), required=True)
     common(p, "sampling seed (default: the model's master_seed)")
     p.set_defaults(func=cmd_generate)
 

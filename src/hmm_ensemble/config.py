@@ -42,7 +42,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .ensemble import EnsembleConfig
-from .errors import ConfigError, ParameterError, check_int
+from .errors import ConfigError, ParameterError, check_int, check_real
 from .hmm import TrainConfig
 from .mlp import MlpConfig
 
@@ -56,6 +56,7 @@ class DataConfig:
     imbalance_seed: int = 0
 
     def __post_init__(self):
+        check_real("imbalance_ratio", self.imbalance_ratio)
         if not (self.imbalance_ratio == 0 or self.imbalance_ratio >= 1):
             raise ParameterError(f"imbalance_ratio must be 0 or >= 1, got {self.imbalance_ratio!r}")
         check_int("imbalance_seed", self.imbalance_seed, 0)

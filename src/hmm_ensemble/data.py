@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_real
 from .hmm import TokenSequence, Vocabulary
 
 
@@ -137,8 +137,7 @@ def subsample_imbalance(dataset: LabeledDataset, ratio: float, seed: int) -> Lab
     Negatives are untouched; the retained positive subset is a pure
     function of the seed, so imbalanced variants stay fixed across runs.
     """
-    if ratio < 1:
-        raise ParameterError("imbalance ratio must be >= 1")
+    check_real("imbalance ratio", ratio, "[1, inf)")
     pos_idx = np.flatnonzero(dataset.labels == 1)
     neg_idx = np.flatnonzero(dataset.labels == 0)
     n_keep = math.floor(neg_idx.size / ratio)
@@ -160,8 +159,7 @@ def split_indices(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     """Stratified split of row indices: one generator permutes class 0 and
     then class 1, and each class puts its first round-half-up(fraction * n)
     rows in part A and the rest in part B. Both parts come back sorted."""
-    if not 0.0 < fraction < 1.0:
-        raise ParameterError("split fraction must be in (0, 1)")
+    check_real("split fraction", fraction, "(0, 1)")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     a_parts, b_parts = [], []

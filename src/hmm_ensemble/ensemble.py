@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import DataError, NumericError, ParameterError, check_int
+from .errors import DataError, NumericError, ParameterError, check_int, check_real
 from .hmm import (
     HmmParams,
     TrainConfig,
@@ -66,8 +66,7 @@ class EnsembleConfig:
     def __post_init__(self):
         check_int("n_pos_models", self.n_pos_models, 1)
         check_int("n_neg_models", self.n_neg_models, 1)
-        if not 0.0 < self.subset_fraction <= 1.0:
-            raise ParameterError("subset_fraction must be in (0, 1]")
+        check_real("subset_fraction", self.subset_fraction, "(0, 1]")
         if not isinstance(self.state_counts, (list, tuple)) or not self.state_counts:
             raise ParameterError("state_counts must be a non-empty list or tuple")
         counts = tuple(check_int("state count", c, 1) for c in self.state_counts)
@@ -154,8 +153,7 @@ def make_training_jobs(dataset: LabeledDataset, config: EnsembleConfig) -> list[
 
 def expected_unsampled_fraction(subset_fraction: float, n_models: int) -> float:
     """Probability that a class sequence lands in none of the n subsets."""
-    if not 0.0 < subset_fraction <= 1.0:
-        raise ParameterError("subset_fraction must be in (0, 1]")
+    check_real("subset_fraction", subset_fraction, "(0, 1]")
     if n_models < 1:
         raise ParameterError("n_models must be >= 1")
     return (1.0 - subset_fraction) ** n_models
@@ -389,4 +387,4 @@ def choose_threshold(scores, labels) -> float:
 
 def classify(scores, threshold: float) -> np.ndarray:
     """Label 1 iff score >= threshold; non-finite scores are a ParameterError."""
-    return (_finite_scores(scores) >= threshold).astype(np.int64)
+    return (_finite_scores(scores) >= check_real("threshold", threshold)).astype(np.int64)

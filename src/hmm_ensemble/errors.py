@@ -1,12 +1,14 @@
-"""Exception types shared across the package, and the two input checks.
+"""Exception types shared across the package, and the three input checks.
 
 The CLI maps these onto exit codes: config/parameter problems exit 2,
 data problems exit 3, numeric failures exit 4.
 
-Every probability table and vector goes through ``check_rows`` and every
-integer setting or file field through ``check_int``; both raise
-ParameterError naming the value.
+Every probability table and vector goes through ``check_rows``, every
+integer setting or file field through ``check_int`` and every real-valued
+one through ``check_real``; each raises ParameterError naming the value.
 """
+
+import math
 
 import numpy as np
 
@@ -34,6 +36,23 @@ def check_int(name: str, value, minimum: int) -> int:
         rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ParameterError(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, interval: str | None = None):
+    """``value`` unchanged if it is a finite int or float (numpy's too, never a
+    bool) inside ``interval``, written like ``"(0, 1]"`` with ``inf`` for an
+    open end, else ParameterError."""
+    # an int is finite however large, and math.isfinite cannot convert a huge one
+    ok = not isinstance(value, bool) and (isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and math.isfinite(value)))
+    if ok and interval is not None:
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        ok = (low < value or interval[0] == "[" and low == value) and (
+            value < high or interval[-1] == "]" and value == high)
+    if not ok:
+        where = f" in {interval}" if interval else ""
+        raise ParameterError(f"{name} must be a finite number{where}, got {value!r}")
+    return value
 
 
 def check_rows(name: str, x) -> np.ndarray:

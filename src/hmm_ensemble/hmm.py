@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError, check_int, check_rows
+from .errors import DataError, NumericError, ParameterError, check_int, check_real, check_rows
 
 # A token sequence is a 1-D integer array of token ids in [0, m).
 TokenSequence = np.ndarray
@@ -151,10 +151,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int("max_iters", self.max_iters, 1)
-        if self.tol < 0:
-            raise ParameterError("tol must be >= 0")
-        if self.floor < 0:
-            raise ParameterError("floor must be >= 0")
+        check_real("tol", self.tol, "[0, inf)")
+        check_real("floor", self.floor, "[0, inf)")
 
     def validate_floor(self, n_states: int, n_symbols: int) -> None:
         # A floor of 0 disables flooring; otherwise flooring then

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 
 
 def _finite_scores(scores) -> np.ndarray:
@@ -87,7 +87,7 @@ def confusion_at(labels, scores, threshold: float) -> tuple[int, int, int, int]:
     scores = _finite_scores(scores)
     if labels.shape != scores.shape:
         raise ParameterError("labels and scores must be equal length")
-    pred = scores >= threshold
+    pred = scores >= check_real("threshold", threshold)
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     tn = int(np.sum(~pred & (labels == 0)))

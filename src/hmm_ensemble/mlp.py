@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+MIN_PER_CLASS = 2  # the fewest training examples of either class mlp_train accepts
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,8 @@ class MlpConfig:
             raise ParameterError("hidden_dims must be non-empty")
         dims = tuple(check_int("hidden dim", h, 1) for h in self.hidden_dims)
         object.__setattr__(self, "hidden_dims", dims)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ParameterError("dropout must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+        check_real("dropout", self.dropout, "[0, 1)")
+        check_real("learning_rate", self.learning_rate, "(0, inf)")
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 1)
         check_int("seed", self.seed, 0)
@@ -65,8 +64,7 @@ class MlpModel:
         dropout: float = 0.0,
         seed: int = 0,
     ):
-        if not 0.0 <= dropout < 1.0:
-            raise ParameterError("dropout must be in [0, 1)")
+        check_real("dropout", dropout, "[0, 1)")
         self.input_dim = check_int("input_dim", input_dim, 1)
         self.hidden_dims = tuple(check_int("hidden dim", h, 1) for h in hidden_dims)
         self.dropout = float(dropout)
@@ -240,8 +238,8 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
         raise ParameterError("features and labels must be equal length")
     if not np.all((y == 0) | (y == 1)):
         raise ParameterError("labels must be 0 or 1")
-    if np.sum(y == 1) < 2 or np.sum(y == 0) < 2:
-        raise ParameterError("need at least 2 examples per class")
+    if np.sum(y == 1) < MIN_PER_CLASS or np.sum(y == 0) < MIN_PER_CLASS:
+        raise ParameterError(f"need at least {MIN_PER_CLASS} examples per class")
     model = MlpModel(x.shape[1], config.hidden_dims, config.dropout, seed=config.seed)
     weights = class_balance_weights(y.astype(np.int64))
     rng = np.random.default_rng(config.seed)

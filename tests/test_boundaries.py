@@ -17,17 +17,27 @@ import oracles
 from hmm_ensemble import (
     EnsembleConfig,
     EnsembleModel,
+    EvalReport,
     HmmParams,
+    LabeledDataset,
+    MlpConfig,
+    MlpModel,
     ParameterError,
+    Provenance,
     TrainConfig,
     Vocabulary,
     average_precision,
+    classify,
+    expected_unsampled_fraction,
     mlp,
     roc_auc,
+    subsample_imbalance,
 )
 from hmm_ensemble import ensemble as ens
 from hmm_ensemble.cli import _load_model, _write_json, main
 from hmm_ensemble.config import DataConfig
+from hmm_ensemble.data import split_indices
+from hmm_ensemble.errors import check_real
 from hmm_ensemble.metrics import confusion_at
 from test_cli import write_config, write_corpus
 
@@ -169,7 +179,8 @@ def model_payloads(draw):
     payload["provenance"] = {
         "config_hash": draw(st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)),
         "master_seed": config.master_seed,
-        "dataset": {"source": draw(st.text()), "imbalance_ratio": draw(st.floats(0.0, 1e3))},
+        "dataset": {"source": draw(st.text()), "imbalance_ratio": draw(
+            st.one_of(st.none(), st.just(0.0), st.floats(1.0, 1e3)))},
     }
     return model, payload
 
@@ -182,7 +193,7 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
             _write_json(first, payload)
-            loaded, provenance = _load_model(str(first))
+            loaded, provenance, _, _ = _load_model(str(first))
             assert loaded.to_dict() == model.to_dict()
             assert (loaded.config, loaded.vocabulary, loaded.seeds) == (
                 model.config, model.vocabulary, model.seeds)
@@ -514,3 +525,172 @@ def test_classify_nn_leaves_numpy_ma_out(trained, tmp_path):
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "nn" / "mlp.json").is_file()
+
+
+class TestRealSettings:
+    """A real-valued setting or argument is a finite int or float, never a
+    bool, inside its range: anything else is a ParameterError, and a valid
+    value is kept as given."""
+
+    @pytest.mark.parametrize("build", [
+        lambda v: TrainConfig(tol=v), lambda v: TrainConfig(floor=v),
+        lambda v: EnsembleConfig(subset_fraction=v), lambda v: DataConfig(imbalance_ratio=v),
+        lambda v: MlpConfig(learning_rate=v), lambda v: MlpConfig(dropout=v),
+        lambda v: MlpModel(2, (), dropout=v),
+    ], ids=["tol", "floor", "subset_fraction", "imbalance_ratio", "learning_rate",
+            "dropout", "model-dropout"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.5"])
+    def test_config_field_rejects(self, build, value):
+        with pytest.raises(ParameterError):
+            build(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda v: subsample_imbalance(tiny_dataset(), v, 0),
+        lambda v: split_indices([0, 0, 1, 1], v, 0),
+        lambda v: expected_unsampled_fraction(v, 3),
+        lambda v: classify([0.0, 1.0], v),
+        lambda v: confusion_at([0, 1], [0.0, 1.0], v),
+        lambda v: EvalReport.from_scores([0, 1], [0.0, 1.0], v),
+    ], ids=["subsample_imbalance", "split_indices", "expected_unsampled_fraction", "classify",
+            "confusion_at", "from_scores"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, False])
+    def test_argument_rejects(self, call, value):
+        with pytest.raises(ParameterError):
+            call(value)
+
+    def test_values_are_checked_not_converted(self):
+        assert type(TrainConfig(tol=0).tol) is int
+        assert type(EnsembleConfig(subset_fraction=np.float32(0.5)).subset_fraction) is np.float32
+
+    @pytest.mark.parametrize("interval, inside, outside", [
+        ("(0, 1]", [1, 1e-300, 0.5], [0, 1.0000001, -1, 10**400]),
+        ("[0, 1)", [0, 0.999], [1, -1e-300]),
+        ("[1, inf)", [1, 1e300, 10**400], [0.999]),
+        (None, [-1e300, 0, np.int64(3), np.float32(2.5)], [np.bool_(True), None, [1.0]]),
+    ])
+    def test_check_real_bounds(self, interval, inside, outside):
+        for value in inside:
+            assert check_real("x", value, interval) is value
+        for value in outside:
+            with pytest.raises(ParameterError, match="x must be a finite number"):
+                check_real("x", value, interval)
+
+
+def tiny_dataset():
+    return LabeledDataset([np.array([0, 1])] * 4, [1, 1, 0, 0], Vocabulary(["a", "b"]),
+                          Provenance(source="rows"))
+
+
+class TestRealModelFields:
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"].update(subset_fraction=True),
+        lambda p: p["config"]["train"].update(tol=True),
+        lambda p: p["config"]["train"].update(floor=False),
+        lambda p: p["config"]["train"].update(tol="INF_TOKEN"),
+    ], ids=["bool-subset-fraction", "bool-tol", "bool-floor", "overflowing-tol"])
+    def test_bad_real_exits_3(self, trained, tmp_path, capsys, edit):
+        _, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        bad = tmp_path / "model.json"
+        # 1e999 is a JSON number that json reads as inf
+        bad.write_text(json.dumps(payload).replace('"INF_TOKEN"', "1e999"), encoding="utf-8")
+        assert main(["diversity", "--model", str(bad), "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+
+class TestProvenanceRatio:
+    """provenance.dataset.imbalance_ratio reaches evaluation.json, so it is
+    null or a ratio [data] accepts."""
+
+    def evaluate_with(self, trained, tmp_path, ratio_text: str) -> int:
+        corpus, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["provenance"]["dataset"]["imbalance_ratio"] = "RATIO"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload).replace('"RATIO"', ratio_text), encoding="utf-8")
+        return main(["evaluate", "--model", str(bad), "--data", str(corpus),
+                     "--out", str(tmp_path / "e")])
+
+    @pytest.mark.parametrize("ratio", ["1e999", '"2"', "[2]", "0.5", "-1", "true"])
+    def test_bad_ratio_exits_3(self, trained, tmp_path, capsys, ratio):
+        assert self.evaluate_with(trained, tmp_path, ratio) == 3
+        err = capsys.readouterr().err
+        assert "provenance.dataset.imbalance_ratio must be" in err and "Traceback" not in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("ratio, written", [("null", None), ("2.5", 2.5), ("0", 0)])
+    def test_valid_ratio_is_copied(self, trained, tmp_path, ratio, written):
+        assert self.evaluate_with(trained, tmp_path, ratio) == 0
+        report = json.loads((tmp_path / "e" / "evaluation.json").read_text(encoding="utf-8"))
+        assert report["provenance"]["imbalance_ratio"] == written
+
+
+class TestClassifyNnClasses:
+    """Labels that cannot train the MLP, or cannot be reported on, exit 3
+    before training and name the labels file."""
+
+    @pytest.mark.parametrize("flag, positives, negatives", [
+        ("--labels", 0, 10), ("--labels", 1, 10), ("--eval-labels", 10, 0),
+    ], ids=["one-class-labels", "single-positive-labels", "one-class-eval-labels"])
+    def test_exits_3_before_training(self, trained, tmp_path, capsys, monkeypatch,
+                                     flag, positives, negatives):
+        corpus, model = trained
+        header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+        pos = [row for row in rows if row.endswith(",1")]
+        neg = [row for row in rows if row.endswith(",0")]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([header] + pos[:positives] + neg[:negatives]) + "\n",
+                          encoding="utf-8")
+        for data, out in ((labels, "part"), (corpus, "all")):
+            assert main(["features", "--model", str(model), "--data", str(data),
+                         "--out", str(tmp_path / out)]) == 0
+        part, full = tmp_path / "part" / "features.csv", tmp_path / "all" / "features.csv"
+        if flag == "--labels":
+            inputs = ["--features", part, "--labels", labels]
+        else:
+            inputs = ["--features", full, "--labels", corpus,
+                      "--eval-features", part, "--eval-labels", labels]
+
+        def no_training(*args):
+            raise AssertionError("mlp_train ran")
+
+        monkeypatch.setattr(mlp, "mlp_train", no_training)
+        assert main(["classify-nn", *map(str, inputs), "--out", str(tmp_path / "nn")]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {labels}: " in err and "need at least" in err
+        assert not (tmp_path / "nn").exists()
+
+
+class TestIntegerFlags:
+    """An integer flag is checked at parse time, before any file is read:
+    a bad value exits 2 even when the named input does not exist."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--config", "missing.ini", "--threads", "-1"],
+         "--threads: must be a non-negative integer"),
+        (["train", "--config", "missing.ini", "--threads", "1.5"],
+         "--threads: must be a non-negative integer"),
+        (["generate", "--model", "missing.json", "--label", "1", "--count", "0",
+          "--length", "3"], "--count: must be an integer >= 1"),
+        (["generate", "--model", "missing.json", "--label", "1", "--count", "2",
+          "--length", "0"], "--length: must be an integer >= 1"),
+        (["evaluate", "--model", "missing.json", "--data", "missing.csv", "--seed", "-1"],
+         "--seed: must be a non-negative integer"),
+    ], ids=["negative-threads", "float-threads", "zero-count", "zero-length", "negative-seed"])
+    def test_bad_value_exits_2_at_parse_time(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_threads_means_every_core(self, trained, tmp_path):
+        corpus, model = trained
+        config = write_config(tmp_path / "run.ini", corpus)
+        assert main(["train", "--config", str(config), "--threads", "0",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "model.json").read_bytes() == model.read_bytes()

@@ -341,3 +341,23 @@ class TestClassifyNn:
         assert run.returncode == 0, run.stderr
         growth_mb = float(run.stdout.split()[-1])
         assert growth_mb < 40.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_output_is_strict_json(workspace, tmp_path):
+    # NaN and Infinity are not JSON: a strict reader rejects a file holding them
+    root, config, out = workspace
+    model, corpus = str(out / "model.json"), str(root / "train.csv")
+    for argv in (["evaluate", "--model", model, "--data", corpus],
+                 ["features", "--model", model, "--data", corpus]):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert main(["classify-nn", "--features", str(tmp_path / "features.csv"), "--labels", corpus,
+                 "--config", str(config), "--out", str(tmp_path)]) == 0
+    written = sorted(out.glob("*.json")) + sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in written] == ["histories.json", "model.json", "evaluation.json",
+                                         "mlp.json", "nn_evaluation.json"]
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)

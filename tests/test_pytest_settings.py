@@ -35,3 +35,29 @@ def test_failing_property_shows_its_example_and_deprecations_still_fail(tmp_path
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out
     assert "2 failed" in out
+
+
+FUTURE_SUITE = '''
+import re
+import warnings
+
+
+def test_future_warning():
+    re.compile("[[a]")  # a nested set, which Python warns may change meaning
+
+
+def test_pending_deprecation():
+    warnings.warn("going away", PendingDeprecationWarning)
+'''
+
+
+def test_future_and_pending_deprecation_warnings_fail(tmp_path):
+    (tmp_path / "test_suite.py").write_text(FUTURE_SUITE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_suite.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert "FutureWarning" in out and "PendingDeprecationWarning" in out
+    assert "2 failed" in out
