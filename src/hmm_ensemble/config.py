@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import math
 import typing
 from dataclasses import dataclass, field
@@ -153,4 +152,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
 
 
 def config_hash(text: str) -> str:
+    import hashlib  # here, so importing the package does not load OpenSSL
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

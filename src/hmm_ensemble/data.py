@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, ParameterError, check_real
+from .errors import DataError, ParameterError, check_int, check_real
 from .hmm import TokenSequence, Vocabulary
 
 
@@ -138,6 +138,7 @@ def subsample_imbalance(dataset: LabeledDataset, ratio: float, seed: int) -> Lab
     function of the seed, so imbalanced variants stay fixed across runs.
     """
     check_real("imbalance ratio", ratio, "[1, inf)")
+    seed = check_int("seed", seed, 0)
     pos_idx = np.flatnonzero(dataset.labels == 1)
     neg_idx = np.flatnonzero(dataset.labels == 0)
     n_keep = math.floor(neg_idx.size / ratio)
@@ -160,6 +161,7 @@ def split_indices(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     then class 1, and each class puts its first round-half-up(fraction * n)
     rows in part A and the rest in part B. Both parts come back sorted."""
     check_real("split fraction", fraction, "(0, 1)")
+    seed = check_int("seed", seed, 0)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     a_parts, b_parts = [], []

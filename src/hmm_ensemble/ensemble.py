@@ -20,7 +20,6 @@ ordered pair of groups.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -42,10 +41,10 @@ from .metrics import _check_inputs, _finite_scores, _tie_groups
 DEFAULT_STATE_COUNTS = (3, 4, 5)
 
 # A training unit closes before the job that would take it past this many
-# tokens. Small jobs then share one batched E-step, while a job of a few
-# thousand tokens already runs each step at full vector width: ten
-# 6,000-token jobs per unit trained 2.3x faster but took 18% more peak memory.
-UNIT_TOKENS = 2**13
+# tokens. A unit's E-step holds about 130 bytes per token at 5 states, so a
+# full unit peaks near 3 MB. Seven 6,000-token jobs of one class and state
+# count then split 4 + 3: as fast as 5 + 2 under 2**15, at a lower peak.
+UNIT_TOKENS = 3 * 2**13
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,7 @@ def make_training_jobs(dataset: LabeledDataset, config: EnsembleConfig) -> list[
 def expected_unsampled_fraction(subset_fraction: float, n_models: int) -> float:
     """Probability that a class sequence lands in none of the n subsets."""
     check_real("subset_fraction", subset_fraction, "(0, 1]")
-    if n_models < 1:
-        raise ParameterError("n_models must be >= 1")
+    check_int("n_models", n_models, 1)
     return (1.0 - subset_fraction) ** n_models
 
 
@@ -236,6 +234,13 @@ def _plan_units(dataset: LabeledDataset, jobs: list[TrainingJob]) -> list[list[i
     return [ids for ids, _ in units]
 
 
+def _process_pool(n_workers: int):
+    # imported here, so a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers)
+
+
 def _run_unit(payload):
     ids, job_sequences, n_symbols, n_states, train_cfg, seeds = payload
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -271,7 +276,7 @@ def train_jobs(
     if n_workers <= 1:
         outputs = [_run_unit(payload) for payload in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with _process_pool(n_workers) as pool:
             outputs = list(pool.map(_run_unit, payloads))
     results: list = [None] * len(jobs)
     for payload, out in zip(payloads, outputs):

@@ -16,9 +16,11 @@ instead of one per length. In scoring, step t advances only the rows longer
 than t.
 
 Training has one EM path, ``_baum_welch_unit``: the jobs of one state
-count run in lockstep, each block laid out job-major as T x J x R (J jobs,
-up to R rows each), with one batched matrix product per step for all of
-them. ``baum_welch`` is its one-job case.
+count run in lockstep, each block laid out as T x J x R (J jobs, up to R
+rows each), with one batched matrix product per step for all of them. The
+forward-backward pass stores alpha and xi's right factor job-major, so each
+job's transition counts are one matrix product over views, summed in the
+order the job alone would sum them. ``baum_welch`` is its one-job case.
 """
 
 from __future__ import annotations
@@ -338,6 +340,12 @@ def _e_step(params, blocks):
     A row with a c[t] of 0 is impossible: its job's log-likelihood is -inf
     and the row adds no counts. Returns ((pi, A, B) counts with a leading
     job axis, log-likelihoods of shape (J,)).
+
+    alpha and xi's right factor Bo[t] * beta[t] are kept job-major,
+    J x T x R x n, so each job's transition counts are one matrix product
+    over views of them, while the steps compute on contiguous time slices.
+    beta goes into Bo as the backward pass reads it, so a block peaks at
+    three arrays of its size.
     """
     pi, A, B = params
     (J, n), m = pi.shape, B.shape[2]
@@ -348,17 +356,16 @@ def _e_step(params, blocks):
     pi_counts, trans_counts = np.zeros((J, n)), np.zeros((J, n, n))
     emit_counts, total_ll = np.zeros((J, n, m)), np.zeros(J)
     for jobs, keys, pad, ends in blocks:
-        T, Jb, _ = keys.shape
-        Ab = A[jobs]
+        T, Jb, R = keys.shape
+        Ab, At = A[jobs], A[jobs].transpose(0, 2, 1)
+        alpha, c = np.empty((Jb, T, R, n)), np.empty(keys.shape)
         Bo = Bt[jobs].reshape(-1, n)[keys]
-        alpha, c = np.empty(Bo.shape), np.empty(keys.shape)
         a = pi[jobs][:, None, :] * Bo[0]
-        c[0] = s = a @ ones
-        alpha[0] = a / np.where(s > 0, s, 1.0)[..., None]
-        for t in range(1, T):
-            a = (alpha[t - 1] @ Ab) * Bo[t]
+        for t in range(T):
+            if t:
+                a = (a @ Ab) * Bo[t]
             c[t] = s = a @ ones
-            alpha[t] = a / np.where(s > 0, s, 1.0)[..., None]
+            alpha[:, t] = a = a / np.where(s > 0, s, 1.0)[..., None]
         c[pad] = 1.0
         with np.errstate(divide="ignore"):
             # each job's terms contiguous and time-major, so each sums as it would alone
@@ -367,19 +374,23 @@ def _e_step(params, blocks):
 
         # dividing by c gives beta the scaling of alpha; inf zeroes impossible rows
         Bo /= np.where(c > 0, c, np.inf)[..., None]
-        beta, At = np.zeros(Bo.shape), Ab.transpose(0, 2, 1)
-        beta[T - 1][ends[T]] = 1.0
+        del c, logc  # so the peak is alpha, Bo and xi_right
+        xi_right, b = np.empty(alpha.shape), np.zeros((Jb, R, n))
+        b[ends[T]] = 1.0
         for t in range(T - 1, 0, -1):
-            beta[t - 1] = (Bo[t] * beta[t]) @ At
+            xi_right[:, t] = x = Bo[t] * b
+            Bo[t] = b  # beta[t]
+            b = x @ At
             if t in ends:  # rows of length t end here; Bo[t] = 0 zeroed them
-                beta[t - 1][ends[t]] = 1.0
-        Bo[1:] *= beta[1:]  # the right factor of xi
-        xi_left = alpha[:-1].transpose(1, 0, 2, 3).reshape(Jb, -1, n)
-        xi_right = Bo[1:].transpose(1, 0, 2, 3).reshape(Jb, -1, n)
-        trans_counts[jobs] += Ab * (xi_left.transpose(0, 2, 1) @ xi_right)
-        alpha *= beta  # gamma
-        pi_counts[jobs] += alpha[0].sum(axis=1)
-        flat_keys, flat_gamma = keys.reshape(-1), alpha.reshape(-1, n)
+                b[ends[t]] = 1.0
+        Bo[0] = b
+        xi_left = alpha[:, :-1].reshape(Jb, -1, n).transpose(0, 2, 1)
+        trans_counts[jobs] += Ab * (xi_left @ xi_right[:, 1:].reshape(Jb, -1, n))
+        del xi_left, xi_right
+        Bo *= alpha.swapaxes(0, 1)  # gamma
+        del alpha
+        pi_counts[jobs] += Bo[0].sum(axis=1)
+        flat_keys, flat_gamma = keys.reshape(-1), Bo.reshape(-1, n)
         for j in range(n):
             emitted = np.bincount(flat_keys, weights=flat_gamma[:, j], minlength=Jb * (m + 1))
             emit_counts[jobs, j] += emitted.reshape(Jb, m + 1)[:, :m]

@@ -558,6 +558,17 @@ class TestRealSettings:
         with pytest.raises(ParameterError):
             call(value)
 
+    @pytest.mark.parametrize("call", [
+        lambda v: subsample_imbalance(tiny_dataset(), 1, v),
+        lambda v: split_indices([0, 0, 1, 1], 0.5, v),
+        lambda v: expected_unsampled_fraction(0.5, v),
+    ], ids=["subsample_imbalance-seed", "split_indices-seed", "unsampled-n_models"])
+    @pytest.mark.parametrize("value", [-1, True, 1.5])
+    def test_integer_argument_rejects(self, call, value):
+        # numpy's default_rng raised a bare ValueError for -1; True and 1.5 passed
+        with pytest.raises(ParameterError):
+            call(value)
+
     def test_values_are_checked_not_converted(self):
         assert type(TrainConfig(tol=0).tol) is int
         assert type(EnsembleConfig(subset_fraction=np.float32(0.5)).subset_fraction) is np.float32

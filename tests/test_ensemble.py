@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +252,7 @@ class FakeExecutor:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(ensemble_mod, "_process_pool", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     return FakeExecutor.sizes
 
@@ -262,6 +266,35 @@ def mixed_length_dataset(rng, n_pos, n_neg):
         vocabulary=Vocabulary("abc"),
         provenance=Provenance(source="synthetic"),
     )
+
+
+def test_serial_training_loads_no_pool_or_openssl():
+    # the pool and hashlib are imported where they are used: importing the
+    # package maps neither multiprocessing nor OpenSSL, and serial training
+    # adds no pool (numpy.random itself loads _hashlib, through secrets and hmac)
+    src = str(Path(ensemble_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hmm_ensemble import cli, config, data, diversity, ensemble, hmm, metrics, mlp\n"
+        "def loaded(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "if loaded(*pool, '_hashlib'):\n"
+        "    sys.exit(f'loaded at import: {loaded(*pool, \"_hashlib\")}')\n"
+        "rng = np.random.default_rng(0)\n"
+        "ds = data.LabeledDataset([rng.integers(0, 3, size=20) for _ in range(12)],\n"
+        "                         np.array([1, 0] * 6), hmm.Vocabulary('abc'),\n"
+        "                         data.Provenance(source='synthetic'))\n"
+        "cfg = ensemble.EnsembleConfig(n_pos_models=2, n_neg_models=2, subset_fraction=0.5,\n"
+        "                              train=hmm.TrainConfig(max_iters=3))\n"
+        "ensemble.train_ensemble(ds, cfg, n_workers=1)\n"
+        "sys.exit(f'loaded by training: {loaded(*pool)}' if loaded(*pool) else 0)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestTrainingUnits:
@@ -320,7 +353,7 @@ class TestTrainingUnits:
             later = [u for u in units[i + 1:] if key[u[0]] == key[unit[0]]]
             if later:
                 assert sum(tokens[k] for k in unit) + tokens[later[0][0]] > UNIT_TOKENS
-        assert max(len(unit) for unit in units) == (8 if length == 50 else 1)
+        assert max(len(unit) for unit in units) == (15 if length == 50 else 2)
 
     def test_pool_is_never_larger_than_its_units(self, fake_pool):
         ds = synthetic_dataset()

@@ -25,6 +25,7 @@ from hmm_ensemble import (
     viterbi,
 )
 from hmm_ensemble import hmm as hmm_mod
+from hmm_ensemble.ensemble import UNIT_TOKENS
 from hmm_ensemble.hmm import _e_step, _job_blocks, _length_blocks, _stack, forward_batch, logsumexp
 
 
@@ -498,6 +499,40 @@ class TestJobAxis:
                 assert np.all(np.isfinite(got[j]))
                 np.testing.assert_allclose(got[j], one[0], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unit_of_equal_row_counts_equals_each_job_alone(self, seed):
+        # every job has one row of each length, so each block gives every job
+        # the same row count, and each job's sums run as they would alone
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(5, 80, size=6)
+        job_seqs = [[rng.integers(0, 4, size=L) for L in lengths] for _ in range(5)]
+        config = TrainConfig(max_iters=30, tol=0.1)
+        rngs = [np.random.default_rng(k) for k in range(len(job_seqs))]
+        unit = hmm_mod._baum_welch_unit(job_seqs, 4, 3, config, rngs)
+        # jobs leave the unit at different iterations, so its blocks are rebuilt
+        assert len({len(history) for _, history in unit}) > 1
+        for k, (seqs, (model, history)) in enumerate(zip(job_seqs, unit)):
+            alone, want = baum_welch(seqs, 4, 3, config, np.random.default_rng(k))
+            assert history == want
+            for name in ("pi", "A", "B"):
+                assert np.array_equal(getattr(model, name), getattr(alone, name))
+
+    def test_full_unit_memory_per_token(self):
+        # jobs of 10 rows of 200 tokens filling a unit at n = 5: alpha, xi's right
+        # factor and the emission factors (which then take beta) hold 120 B a
+        # token, and no copy is made of them
+        rng = np.random.default_rng(0)
+        n_jobs = UNIT_TOKENS // 2000
+        job_seqs = [[rng.integers(0, 8, size=200) for _ in range(10)] for _ in range(n_jobs)]
+        rngs = [np.random.default_rng(k) for k in range(n_jobs)]
+        tracemalloc.start()
+        try:
+            hmm_mod._baum_welch_unit(job_seqs, 8, 5, TrainConfig(max_iters=2), rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 170 * n_jobs * 2000
 
     @pytest.mark.parametrize("lengths", [[50] * 160, np.linspace(20, 120, 116).round()])
     def test_unit_memory_follows_tokens(self, lengths):
