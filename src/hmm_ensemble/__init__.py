@@ -20,14 +20,12 @@ from .ensemble import (
     TrainingJob,
     choose_threshold,
     classify,
-    composite_score,
     expected_unsampled_fraction,
     feature_vectors,
     log_likelihood_matrix,
     make_training_jobs,
     matchup_count,
     score_corpus,
-    singleton_classify,
     train_ensemble,
     train_jobs,
 )
@@ -41,7 +39,6 @@ from .hmm import (
     init_random,
     log_likelihood,
     sample,
-    viterbi,
 )
 from .metrics import EvalReport, average_precision, confusion_at, roc_auc
 from .mlp import MlpConfig, MlpModel, gradient_check, mlp_predict, mlp_train
@@ -68,7 +65,6 @@ __all__ = [
     "baum_welch",
     "choose_threshold",
     "classify",
-    "composite_score",
     "confusion_at",
     "expected_unsampled_fraction",
     "feature_vectors",
@@ -87,11 +83,9 @@ __all__ = [
     "sample",
     "score_corpus",
     "similarity_matrix",
-    "singleton_classify",
     "split",
     "stationary_distribution",
     "subsample_imbalance",
     "train_ensemble",
     "train_jobs",
-    "viterbi",
 ]

@@ -29,7 +29,7 @@ from . import ensemble as ens
 from . import mlp as mlp_mod
 from .config import DataConfig, RunConfig, config_hash, load_run_config, resolved_config_text
 from .diversity import similarity_matrix
-from .errors import DataError, NumericError, ParameterError, check_int
+from .errors import DataError, NumericError, ParameterError, check_int, check_real
 from .hmm import sample
 from .metrics import EvalReport
 
@@ -112,16 +112,17 @@ def _load_corpus(model: ens.EnsembleModel, path: str, labels_required: bool):
     return sequences, (np.asarray(labels, dtype=np.int64) if labels_required else None)
 
 
-def _int_flag(minimum: int):
-    """The argparse type of an integer flag of at least ``minimum``."""
+def _flag(convert, check, rule):
+    """The argparse type of a flag that ``convert`` reads and ``check``
+    (``check_int`` or ``check_real``) accepts under ``rule``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = text  # not an integer, so check_int rejects it
+            value = text  # not a number, so the check rejects it
         try:
-            return check_int("flag", value, minimum)
+            return check("flag", value, rule)
         except ParameterError as exc:
             raise argparse.ArgumentTypeError(str(exc).removeprefix("flag ")) from None
 
@@ -207,8 +208,6 @@ def cmd_evaluate(args) -> int:
     _check_classes(args.data, labels)
     if args.seed is not None:
         seed = args.seed
-    if not 0.0 < args.calibration_fraction < 1.0:
-        raise ParameterError("--calibration-fraction must be in (0, 1)")
     try:
         calib_idx, eval_idx = data_mod.split_indices(labels, args.calibration_fraction, seed)
     except ParameterError as exc:  # the fraction is valid, so a class is too small
@@ -364,12 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed_help=None):
         if seed_help:
-            p.add_argument("--seed", type=_int_flag(0), default=None, help=seed_help)
+            p.add_argument("--seed", type=_flag(int, check_int, 0), default=None, help=seed_help)
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train", help="train an ensemble from a labeled CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=_int_flag(0), default=1, help="worker count (0 = auto)")
+    p.add_argument("--threads", type=_flag(int, check_int, 0), default=1,
+                   help="worker count (0 = auto)")
     common(p, "override [ensemble] master_seed")
     p.set_defaults(func=cmd_train)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="calibrate a threshold and report AUC/AP")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--calibration-fraction", type=float, default=0.2)
+    p.add_argument("--calibration-fraction", type=_flag(float, check_real, "(0, 1)"), default=0.2)
     common(p, "calibration split seed (default: the model's master_seed)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -400,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample synthetic sequences from one class")
     p.add_argument("--model", required=True)
     p.add_argument("--label", type=int, choices=(0, 1), required=True)
-    p.add_argument("--count", type=_int_flag(1), required=True)
-    p.add_argument("--length", type=_int_flag(1), required=True)
+    p.add_argument("--count", type=_flag(int, check_int, 1), required=True)
+    p.add_argument("--length", type=_flag(int, check_int, 1), required=True)
     common(p, "sampling seed (default: the model's master_seed)")
     p.set_defaults(func=cmd_generate)
 

@@ -34,7 +34,6 @@ from .hmm import (
     _check_sequence,
     _length_blocks,
     forward_batch,
-    log_likelihood,
 )
 from .metrics import _check_inputs, _finite_scores, _tie_groups
 
@@ -343,11 +342,6 @@ def matchup_scores(ensemble: EnsembleModel, ll: np.ndarray) -> list[int]:
     return [matchup_count(row[:n_pos], row[n_pos:]) for row in ll]
 
 
-def composite_score(ensemble: EnsembleModel, seq) -> int:
-    """Pairwise-matchup score of one sequence, in [0, N*M]."""
-    return score_corpus(ensemble, [seq])[0]
-
-
 def score_corpus(ensemble: EnsembleModel, corpus) -> list[int]:
     """Composite score of every sequence, order-preserving."""
     return matchup_scores(ensemble, log_likelihood_matrix(ensemble, corpus))
@@ -367,13 +361,6 @@ def feature_vectors(ensemble: EnsembleModel, corpus) -> np.ndarray:
         raise NumericError(f"sequence {i}: log-likelihood under model column {j} is not finite")
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     return raw / np.where(norms > 0, norms, 1.0)
-
-
-def singleton_classify(pos_model: HmmParams, neg_model: HmmParams, seq) -> int:
-    """1 iff the positive model assigns the strictly higher likelihood."""
-    if pos_model.m != neg_model.m:
-        raise ParameterError("models must share a vocabulary size")
-    return int(log_likelihood(pos_model, seq) > log_likelihood(neg_model, seq))
 
 
 def choose_threshold(scores, labels) -> float:

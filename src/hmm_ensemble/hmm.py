@@ -1,11 +1,11 @@
 """Discrete-emission hidden Markov models.
 
-Log-space forward likelihood (``forward_batch``, which scoring uses) and
-Viterbi decoding; multi-sequence Baum-Welch training on a scaled
-forward-backward pass (Rabiner 1989, Sec. V.A); and generative sampling.
-Everything here is pure with respect to the model: parameters are immutable
-after construction, training returns a new model, and random state is
-always passed in explicitly.
+Log-space forward likelihood (``forward_batch``, which scoring uses);
+multi-sequence Baum-Welch training on a scaled forward-backward pass
+(Rabiner 1989, Sec. V.A); and generative sampling. Everything here is
+pure with respect to the model: parameters are immutable after
+construction, training returns a new model, and random state is always
+passed in explicitly.
 
 Scoring and training run their recursions over ``_length_blocks``: rows in
 descending length order, cut into blocks whose rows are all longer than
@@ -170,10 +170,7 @@ def init_random(n: int, m: int, rng: np.random.Generator) -> HmmParams:
     Draw order is pi, then A, then B, so a given generator state yields a
     reproducible model.
     """
-    if n < 1:
-        raise ParameterError("state count must be >= 1")
-    if m < 2:
-        raise ParameterError("vocabulary size must be >= 2")
+    n, m = check_int("state count", n, 1), check_int("vocabulary size", m, 2)
     pi = rng.random(n)
     A = rng.random((n, n))
     B = rng.random((n, m))
@@ -193,11 +190,6 @@ def _check_sequence(seq, m: int) -> TokenSequence:
     return arr
 
 
-def _log_params(model: HmmParams):
-    with np.errstate(divide="ignore"):
-        return np.log(model.pi), np.log(model.A), np.log(model.B.T)
-
-
 def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray:
     """Log-likelihood of each row of ``obs`` (an S x T id array).
 
@@ -207,7 +199,8 @@ def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray
     """
     if lengths is None:
         lengths = np.full(obs.shape[0], obs.shape[1])
-    log_pi, log_A, log_Bt = _log_params(model)
+    with np.errstate(divide="ignore"):
+        log_pi, log_A, log_Bt = np.log(model.pi), np.log(model.A), np.log(model.B.T)
     alpha = log_pi[None, :] + log_Bt[obs[:, 0]]
     for k, t0, t1 in _live_runs(lengths):
         a, o = alpha[:k], obs[:k]
@@ -222,27 +215,6 @@ def log_likelihood(model: HmmParams, seq) -> float:
     """ln p(sequence | model) by the forward recursion in log space."""
     seq = _check_sequence(seq, model.m)
     return float(forward_batch(model, seq[None, :])[0])
-
-
-def viterbi(model: HmmParams, seq) -> tuple[np.ndarray, float]:
-    """Most probable state path and its joint log-probability.
-
-    Ties are broken toward the lower state id at every step.
-    """
-    seq = _check_sequence(seq, model.m)
-    log_pi, log_A, log_Bt = _log_params(model)
-    T, n = seq.shape[0], model.n
-    delta = log_pi + log_Bt[seq[0]]
-    back = np.zeros((T, n), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + log_A
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(n)] + log_Bt[seq[t]]
-    path = np.zeros(T, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1, path[t + 1]]
-    return path, float(delta[path[-1]])
 
 
 def _length_blocks(
@@ -489,8 +461,7 @@ def sample(model: HmmParams, length: int, rng: np.random.Generator) -> TokenSequ
     Uses inverse-CDF draws in the fixed order state, emission, state,
     emission, ... so output is reproducible for a given generator state.
     """
-    if length < 1:
-        raise ParameterError("sample length must be >= 1")
+    length = check_int("sample length", length, 1)
     cum_pi = np.cumsum(model.pi)
     cum_A = np.cumsum(model.A, axis=1)
     cum_B = np.cumsum(model.B, axis=1)

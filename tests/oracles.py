@@ -31,12 +31,6 @@ def brute_likelihood(model, seq):
     return float(path_probs(model, seq)[1].sum())
 
 
-def brute_viterbi(model, seq):
-    paths, p = path_probs(model, seq)
-    best = int(np.argmax(p))
-    return paths[best], float(np.log(p[best]))
-
-
 def brute_em_counts(model, sequences):
     """Posterior expected counts via full path enumeration, pooled over
     sequences: initial-state, transition, and emission counts."""

@@ -676,8 +676,9 @@ class TestClassifyNnClasses:
 
 
 class TestIntegerFlags:
-    """An integer flag is checked at parse time, before any file is read:
-    a bad value exits 2 even when the named input does not exist."""
+    """An integer flag, and the real --calibration-fraction, is checked at
+    parse time, before any file is read: a bad value exits 2 even when the
+    named input does not exist."""
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--config", "missing.ini", "--threads", "-1"],
@@ -690,7 +691,12 @@ class TestIntegerFlags:
           "--length", "0"], "--length: must be an integer >= 1"),
         (["evaluate", "--model", "missing.json", "--data", "missing.csv", "--seed", "-1"],
          "--seed: must be a non-negative integer"),
-    ], ids=["negative-threads", "float-threads", "zero-count", "zero-length", "negative-seed"])
+        *((["evaluate", "--model", "missing.json", "--data", "missing.csv",
+            "--calibration-fraction", value],
+           "--calibration-fraction: must be a finite number in (0, 1)")
+          for value in ("0", "1", "1.5", "nan", "inf")),
+    ], ids=["negative-threads", "float-threads", "zero-count", "zero-length", "negative-seed",
+            *(f"calibration-fraction-{v}" for v in ("0", "1", "1.5", "nan", "inf"))])
     def test_bad_value_exits_2_at_parse_time(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--out", str(tmp_path / "o")])

@@ -25,15 +25,14 @@ from hmm_ensemble import (
     baum_welch,
     choose_threshold,
     classify,
-    composite_score,
     expected_unsampled_fraction,
     feature_vectors,
+    log_likelihood,
     log_likelihood_matrix,
     make_training_jobs,
     matchup_count,
     sample,
     score_corpus,
-    singleton_classify,
     train_ensemble,
     train_jobs,
 )
@@ -395,21 +394,21 @@ class TestScoring:
     def test_composite_in_range(self, trained):
         model, corpus = trained
         for seq in corpus:
-            assert 0 <= composite_score(model, seq) <= model.max_score
+            assert 0 <= score_corpus(model, [seq])[0] <= model.max_score
 
     def test_composite_matches_double_loop(self, trained):
         model, corpus = trained
         ll = log_likelihood_matrix(model, corpus)
         n_pos = model.config.n_pos_models
         for row, seq in zip(ll, corpus):
-            assert composite_score(model, seq) == oracles.brute_matchups(
+            assert score_corpus(model, [seq])[0] == oracles.brute_matchups(
                 row[:n_pos], row[n_pos:]
             )
 
     def test_score_corpus_orders_and_singletons(self, trained):
         model, corpus = trained
         scores = score_corpus(model, corpus)
-        assert scores == [composite_score(model, s) for s in corpus]
+        assert scores == [score_corpus(model, [s])[0] for s in corpus]
         assert score_corpus(model, corpus[:1]) == [scores[0]]
         perm = np.random.default_rng(0).permutation(len(corpus))
         permuted = score_corpus(model, [corpus[i] for i in perm])
@@ -472,18 +471,31 @@ class TestScoringProperties:
 
 
 class TestSingleton:
+    """A 1+1 ensemble, criterion 8's baseline, flags a sequence iff the
+    positive model gives it the strictly higher likelihood."""
+
+    @staticmethod
+    def singleton(pos, neg, seq):
+        return int(log_likelihood(pos, seq) > log_likelihood(neg, seq))
+
+    @staticmethod
+    def pair(pos, neg):
+        config = EnsembleConfig(n_pos_models=1, n_neg_models=1)
+        return EnsembleModel([pos], [neg], Vocabulary("abc"[: pos.m]), config,
+                             seeds=[(0, 0)] * 2)
+
     def test_identical_models_always_zero(self):
         model = oracles.random_model(np.random.default_rng(0), 2, 3)
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            seq = rng.integers(0, 3, size=6)
-            assert singleton_classify(model, model, seq) == 0
+        seqs = [rng.integers(0, 3, size=6) for _ in range(10)]
+        assert score_corpus(self.pair(model, model), seqs) == [0] * 10
 
     def test_point_mass_vs_uniform(self):
         pos = HmmParams(pi=[1.0], A=[[1.0]], B=[[1.0, 0.0]])
         neg = HmmParams(pi=[1.0], A=[[1.0]], B=[[0.5, 0.5]])
         # p(00|pos) = 1 > p(00|neg) = 0.25
-        assert singleton_classify(pos, neg, [0, 0]) == 1
+        assert score_corpus(self.pair(pos, neg), [[0, 0]]) == [1]
+        assert self.singleton(pos, neg, [0, 0]) == 1
 
     def test_degenerates_to_composite_at_threshold_one(self):
         ds = synthetic_dataset(n_pos=25, n_neg=25)
@@ -492,11 +504,9 @@ class TestSingleton:
         rng = np.random.default_rng(2)
         corpus = [rng.integers(0, 3, size=8) for _ in range(20)]
         composite = classify(score_corpus(model, corpus), threshold=1)
-        single = [
-            singleton_classify(model.positive_models[0], model.negative_models[0], s)
-            for s in corpus
-        ]
-        assert composite.tolist() == single
+        pos, neg = model.positive_models[0], model.negative_models[0]
+        assert composite.tolist() == [self.singleton(pos, neg, s) for s in corpus]
+
 
 
 class TestThreshold:

@@ -22,7 +22,6 @@ from hmm_ensemble import (
     log_likelihood,
     log_likelihood_matrix,
     sample,
-    viterbi,
 )
 from hmm_ensemble import hmm as hmm_mod
 from hmm_ensemble.ensemble import UNIT_TOKENS
@@ -96,10 +95,10 @@ class TestInitRandom:
         assert abs(model.pi.sum() - 1) < 1e-12
 
     def test_invalid_sizes(self):
-        with pytest.raises(ParameterError):
-            init_random(0, 3, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            init_random(2, 1, np.random.default_rng(0))
+        # numpy raised a bare TypeError for a float size, and True passed as 1 state
+        for n, m in [(0, 3), (2, 1), (2.0, 3), (True, 3), (2, 3.0), (2, True)]:
+            with pytest.raises(ParameterError):
+                init_random(n, m, np.random.default_rng(0))
 
 
 class TestLogsumexp:
@@ -161,49 +160,13 @@ class TestLogLikelihood:
             log_likelihood(TWO_STATE, [])
 
 
-class TestViterbi:
-    def test_single_state_path(self):
-        model = HmmParams(pi=[1.0], A=[[1.0]], B=[[0.3, 0.7]])
-        path, _ = viterbi(model, [0, 1, 1])
-        assert path.tolist() == [0, 0, 0]
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(77)
-        for _ in range(40):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(2, 5))
-            T = int(rng.integers(1, 8))
-            model = oracles.random_model(rng, n, m)
-            seq = rng.integers(0, m, size=T)
-            best_path, best_lp = oracles.brute_viterbi(model, seq)
-            path, lp = viterbi(model, seq)
-            assert lp == pytest.approx(best_lp, rel=1e-10)
-            assert path.tolist() == best_path.tolist()
-            assert len(path) == T
-
-    def test_path_prob_below_total_likelihood(self):
-        rng = np.random.default_rng(3)
-        model = oracles.random_model(rng, 3, 3)
-        seq = rng.integers(0, 3, size=6)
-        _, lp = viterbi(model, seq)
-        assert lp <= log_likelihood(model, seq) + 1e-12
-
-    def test_single_state_path_carries_all_mass(self):
-        model = oracles.random_model(np.random.default_rng(13), 1, 3)
-        seq = np.array([0, 2, 1, 1])
-        _, lp = viterbi(model, seq)
-        assert lp == pytest.approx(log_likelihood(model, seq), abs=1e-12)
-
-    def test_tie_breaks_toward_lower_state(self):
-        # fully symmetric model: every path has equal probability
-        model = HmmParams(
-            pi=[0.5, 0.5], A=[[0.5, 0.5], [0.5, 0.5]], B=[[0.5, 0.5], [0.5, 0.5]]
-        )
-        path, _ = viterbi(model, [0, 1, 0])
-        assert path.tolist() == [0, 0, 0]
-
-
 class TestBaumWelch:
+    @pytest.mark.parametrize("n_states", [2.0, True])
+    def test_state_count_must_be_an_integer(self, n_states):
+        seqs = [np.array([0, 1, 2])]
+        with pytest.raises(ParameterError):
+            baum_welch(seqs, 3, n_states, TrainConfig(), np.random.default_rng(0))
+
     def test_single_token_converges_to_floored_point_mass(self):
         cfg = TrainConfig(max_iters=10, floor=1e-10)
         seqs = [np.zeros(5, dtype=np.int64) for _ in range(3)]
@@ -317,6 +280,11 @@ class TestSample:
     def test_zero_length_rejected(self):
         with pytest.raises(ParameterError):
             sample(TWO_STATE, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("length", [2.5, True])
+    def test_length_must_be_an_integer(self, length):
+        with pytest.raises(ParameterError):
+            sample(TWO_STATE, length, np.random.default_rng(0))
 
 
 def _stochastic_rows(n_rows, width):
