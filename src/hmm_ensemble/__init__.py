@@ -6,14 +6,8 @@ positive and negative model groups, and optionally feed normalized
 log-likelihood vectors to a small neural-network head.
 """
 
-from .data import LabeledDataset, Provenance, load_csv, split, subsample_imbalance
-from .diversity import (
-    SimilarityMatrix,
-    hellinger,
-    hmm_distance,
-    similarity_matrix,
-    stationary_distribution,
-)
+from .data import LabeledDataset, Provenance, load_csv, subsample_imbalance
+from .diversity import SimilarityMatrix, similarity_matrix, stationary_distribution
 from .ensemble import (
     EnsembleConfig,
     EnsembleModel,
@@ -69,8 +63,6 @@ __all__ = [
     "expected_unsampled_fraction",
     "feature_vectors",
     "gradient_check",
-    "hellinger",
-    "hmm_distance",
     "init_random",
     "load_csv",
     "log_likelihood",
@@ -83,7 +75,6 @@ __all__ = [
     "sample",
     "score_corpus",
     "similarity_matrix",
-    "split",
     "stationary_distribution",
     "subsample_imbalance",
     "train_ensemble",

@@ -5,7 +5,8 @@ classify-nn. Every command is a pure function of its config and input
 files; output files embed the resolved config hash and master seed in
 leading ``#`` comment lines so reruns are byte-identical and auditable.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
+5 out of memory.
 A subcommand runs with numpy's floating-point errors raised, so a division
 by zero, an overflow or an invalid operation exits 4 instead of writing NaN
 or inf; kernels that take log 0 on purpose ignore it locally.
@@ -127,6 +128,17 @@ def _flag(convert, check, rule):
             raise argparse.ArgumentTypeError(str(exc).removeprefix("flag ")) from None
 
     return parse
+
+
+def _out_path(text: str) -> str:
+    """The argparse type of ``--out``: a path whose nearest existing entry,
+    itself or a parent, is a directory, so the command can create it after
+    its work."""
+    path = Path(text).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} is not a directory")
+    return text
 
 
 def _out_dir(args) -> Path:
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed_help=None):
         if seed_help:
             p.add_argument("--seed", type=_flag(int, check_int, 0), default=None, help=seed_help)
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, type=_out_path, help="output directory")
 
     p = sub.add_parser("train", help="train an ensemble from a labeled CSV")
     p.add_argument("--config", required=True)
@@ -432,6 +444,9 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"out of memory: {args.command}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -55,14 +55,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.sequences)
 
-    @property
-    def n_pos(self) -> int:
-        return int(np.sum(self.labels == 1))
-
-    @property
-    def n_neg(self) -> int:
-        return int(np.sum(self.labels == 0))
-
     def take(self, indices) -> "LabeledDataset":
         """New dataset restricted to the given indices (order preserved)."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -176,11 +168,3 @@ def split_indices(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
         a_parts.append(perm[:n_a])
         b_parts.append(perm[n_a:])
     return np.sort(np.concatenate(a_parts)), np.sort(np.concatenate(b_parts))
-
-
-def split(
-    dataset: LabeledDataset, fraction: float, seed: int
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified split of a dataset by split_indices. Original order is kept."""
-    a_idx, b_idx = split_indices(dataset.labels, fraction, seed)
-    return dataset.take(a_idx), dataset.take(b_idx)

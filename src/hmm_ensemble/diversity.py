@@ -16,7 +16,6 @@ import numpy as np
 
 from .ensemble import EnsembleModel
 from .errors import ParameterError, check_rows
-from .hmm import HmmParams
 
 _DAMPING = 1e-8
 
@@ -74,14 +73,6 @@ def stationary_distribution(A) -> StationaryResult:
     return StationaryResult(v / v.sum(), degenerate)
 
 
-def hellinger(p, q) -> float:
-    """Hellinger distance in [0, 1] between two categorical distributions."""
-    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if p.ndim != 1 or p.shape != q.shape:
-        raise ParameterError("distributions must be 1-D and of equal length")
-    return float(_hellinger_matrix(check_rows("p", p[None, :]), check_rows("q", q[None, :]))[0, 0])
-
-
 def _hellinger_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Hellinger distances between every row of P and every row of Q."""
     diff = np.sqrt(P)[:, None, :] - np.sqrt(Q)[None, :, :]
@@ -135,28 +126,14 @@ def _assignment(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def hmm_distance(a: HmmParams, b: HmmParams) -> float:
-    """Assignment-matched, stationary-weighted emission distance in [0, 1].
-
-    Emission rows are matched by minimum-cost assignment on pairwise
-    Hellinger distances; each matched pair (i, j) weighs in at
-    (v_a[i] + v_b[j]) / 2 where v is the model's stationary distribution.
-    When state counts differ, every unmatched state of the larger model
-    contributes its own stationary mass at the maximal cost of 1.
-    """
-    if a.m != b.m:
-        raise ParameterError("models must share a vocabulary size")
-    v_a = stationary_distribution(a.A).dist
-    v_b = stationary_distribution(b.A).dist
-    return _hmm_distance_weighted(a.B, b.B, v_a, v_b)
-
-
 def _hmm_distance_weighted(
     B_a: np.ndarray, B_b: np.ndarray, v_a: np.ndarray, v_b: np.ndarray
 ) -> float:
-    # The smaller model's states go into the larger model's. Matched terms
-    # are summed in ascending state order of a, the unmatched mass of the
-    # larger model in ascending state order.
+    """Distance in [0, 1]: the smaller model's emission rows are matched into
+    the larger's at least total Hellinger cost, each pair (i, j) weighing
+    (v_a[i] + v_b[j]) / 2 with v the stationary distributions, and each
+    unmatched state adds its own mass at cost 1. Matched terms are summed in
+    ascending state order of a, the unmatched mass in ascending state order."""
     cost = _hellinger_matrix(B_a, B_b)
     if len(v_a) <= len(v_b):
         rows = np.arange(len(v_a))

@@ -186,10 +186,6 @@ class EnsembleModel:
     def models(self) -> list[HmmParams]:
         return self.positive_models + self.negative_models
 
-    @property
-    def max_score(self) -> int:
-        return self.config.n_pos_models * self.config.n_neg_models
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),

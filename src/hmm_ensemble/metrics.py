@@ -55,10 +55,6 @@ def _tie_groups(
 def roc_auc(labels, scores) -> float:
     """P(random positive outranks random negative), ties counting half."""
     _, tp, fp = _tie_groups(*_check_inputs(labels, scores))
-    return _auc(tp, fp)
-
-
-def _auc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     # twice each group's midrank: 2 * rows below + group size + 1
     above = tp + fp
@@ -71,10 +67,6 @@ def average_precision(labels, scores) -> float:
     """Sum of precision * recall-increment over descending distinct scores;
     tied scores form one threshold step."""
     _, tp, fp = _tie_groups(*_check_inputs(labels, scores))
-    return _average_precision(tp, fp)
-
-
-def _average_precision(tp: np.ndarray, fp: np.ndarray) -> float:
     recall = tp / tp[-1]
     precision = tp / (tp + fp)
     # a running sum, so the terms are added in threshold order
@@ -118,17 +110,12 @@ class EvalReport:
 
     @classmethod
     def from_scores(cls, labels, scores, threshold: float) -> "EvalReport":
-        labels_arr, scores_arr = _check_inputs(labels, scores)
-        _, cum_tp, cum_fp = _tie_groups(labels_arr, scores_arr)
-        tp, fp, tn, fn = confusion_at(labels_arr, scores_arr, threshold)
+        auc = roc_auc(labels, scores)  # checks both arrays before confusion_at reads them
+        tp, fp, tn, fn = confusion_at(labels, scores, threshold)
         return cls(
-            auc_roc=_auc(cum_tp, cum_fp),
-            average_precision=_average_precision(cum_tp, cum_fp),
+            auc_roc=auc,
+            average_precision=average_precision(labels, scores),
             threshold=float(threshold),
-            tp=tp,
-            fp=fp,
-            tn=tn,
-            fn=fn,
-            n_pos=int(cum_tp[-1]),
-            n_neg=int(cum_fp[-1]),
+            tp=tp, fp=fp, tn=tn, fn=fn,
+            n_pos=tp + fn, n_neg=fp + tn,
         )

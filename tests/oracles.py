@@ -6,6 +6,7 @@ code path with the library's dynamic programs.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,11 @@ def brute_best_f1_threshold(scores, labels):
         if f1 >= best_f1:
             best_t, best_f1 = t, f1
     return best_t, best_f1
+
+
+def hellinger(p, q):
+    """Hellinger distance sqrt(sum_k (sqrt p_k - sqrt q_k)^2 / 2), term by term."""
+    return math.sqrt(sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q)) / 2)
 
 
 def brute_assignment(cost, tol=1e-12):

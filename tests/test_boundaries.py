@@ -711,3 +711,63 @@ class TestIntegerFlags:
         assert main(["train", "--config", str(config), "--threads", "0",
                      "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "model.json").read_bytes() == model.read_bytes()
+
+
+class TestOutFlag:
+    """--out is checked when the command line is parsed: a path that is, or
+    lies under, a regular file exits 2 before any input is read."""
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_regular_file_exits_2_at_parse_time(self, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["diversity", "--model", str(tmp_path / "missing.json"),
+                  "--out", str(blocker / under)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{blocker} is not a directory" in err and "Traceback" not in err
+
+    def test_new_nested_directory_is_created(self, trained, tmp_path):
+        _, model = trained
+        out = tmp_path / "a" / "b"
+        assert main(["diversity", "--model", str(model), "--out", str(out)]) == 0
+        assert (out / "similarity.csv").is_file()
+
+
+class TestOutOfMemory:
+    """An input whose arrays exceed the address space exits 5 with one line
+    naming the command, and writes nothing."""
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").is_file(), reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("old, new, args", [
+        ("state_counts = 2,3", "state_counts = 30000", ["train", "--config", "{config}"]),
+        ("n_pos_models = 2", "n_pos_models = 1000000000", ["train", "--config", "{config}"]),
+        ("", "", ["generate", "--model", "{model}", "--label", "1", "--count", "1",
+                  "--length", "1000000000"]),
+    ], ids=["state_counts", "n_pos_models", "generate-length"])
+    def test_exits_5(self, trained, tmp_path, old, new, args):
+        corpus, model = trained
+        config = write_config(tmp_path / "run.ini", corpus)
+        config.write_text(config.read_text(encoding="utf-8").replace(old, new),
+                          encoding="utf-8")
+        argv = [a.format(config=config, model=model) for a in args]
+        # the child caps its own address space 1.5 GB above what it has mapped
+        # once the package is imported, so the cap does not depend on the host
+        code = (
+            "import resource, sys\n"
+            "from hmm_ensemble.cli import main\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    cap = int(fh.read().split()[0]) * resource.getpagesize() + 1_500_000_000\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(hmm_ensemble.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 5, run.stderr
+        assert run.stderr.startswith(f"out of memory: {args[0]}: ")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+        assert not (tmp_path / "o").exists()

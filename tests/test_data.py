@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hmm_ensemble import DataError, ParameterError, load_csv, split, subsample_imbalance
+from hmm_ensemble import DataError, ParameterError, load_csv, subsample_imbalance
+from hmm_ensemble.data import split_indices
 
 
 def write_csv(tmp_path, rows, header="sequence,label"):
@@ -74,8 +75,8 @@ class TestSubsampleImbalance:
     def test_counts(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=200, n_neg=5000)
         out = subsample_imbalance(ds, ratio=50, seed=7)
-        assert out.n_pos == 100
-        assert out.n_neg == 5000
+        assert np.sum(out.labels == 1) == 100
+        assert np.sum(out.labels == 0) == 5000
 
     def test_negatives_untouched(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=50, n_neg=60)
@@ -93,7 +94,7 @@ class TestSubsampleImbalance:
     def test_ratio_one_keeps_sizes(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=30, n_neg=30)
         out = subsample_imbalance(ds, ratio=1, seed=0)
-        assert out.n_pos == 30 and out.n_neg == 30
+        assert np.sum(out.labels == 1) == 30 and np.sum(out.labels == 0) == 30
 
     def test_infeasible_ratio(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=2, n_neg=10)
@@ -111,19 +112,19 @@ class TestSubsampleImbalance:
     def test_achieved_ratio_close(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=300, n_neg=1000)
         out = subsample_imbalance(ds, ratio=7, seed=3)
-        assert out.n_neg / out.n_pos == pytest.approx(7, rel=0.01)
+        assert np.sum(out.labels == 0) / np.sum(out.labels == 1) == pytest.approx(7, rel=0.01)
 
 
 class TestSplit:
     def test_even_split(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=10, n_neg=10)
-        a, b = split(ds, 0.5, seed=0)
-        assert a.n_pos == 5 and a.n_neg == 5
-        assert b.n_pos == 5 and b.n_neg == 5
+        for part in split_indices(ds.labels, 0.5, seed=0):
+            labels = ds.take(part).labels
+            assert np.sum(labels == 1) == 5 and np.sum(labels == 0) == 5
 
     def test_partition_is_exhaustive_and_disjoint(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=13, n_neg=29)
-        a, b = split(ds, 0.3, seed=4)
+        a, b = (ds.take(part) for part in split_indices(ds.labels, 0.3, seed=4))
         all_seqs = sorted(s.tolist() for s in ds.sequences)
         split_seqs = sorted(s.tolist() for s in a.sequences + b.sequences)
         assert all_seqs == split_seqs
@@ -131,24 +132,23 @@ class TestSplit:
 
     def test_stratification_within_one(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=17, n_neg=41)
-        a, b = split(ds, 0.4, seed=1)
-        for part in (a, b):
-            frac = part.n_pos / len(part)
-            assert abs(frac * len(part) - ds.n_pos / len(ds) * len(part)) <= 1.0
+        for part in split_indices(ds.labels, 0.4, seed=1):
+            frac = np.sum(ds.labels[part] == 1) / len(part)
+            assert abs(frac * len(part) - np.sum(ds.labels == 1) / len(ds) * len(part)) <= 1.0
 
     def test_deterministic(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=12, n_neg=12)
-        a1, _ = split(ds, 0.5, seed=2)
-        a2, _ = split(ds, 0.5, seed=2)
-        assert all(np.array_equal(x, y) for x, y in zip(a1.sequences, a2.sequences))
+        a1, _ = split_indices(ds.labels, 0.5, seed=2)
+        a2, _ = split_indices(ds.labels, 0.5, seed=2)
+        assert np.array_equal(a1, a2)
 
     def test_class_starvation_rejected(self, tmp_path):
         ds = toy_dataset(tmp_path, n_pos=2, n_neg=50)
         with pytest.raises(ParameterError):
-            split(ds, 0.1, seed=0)  # round-half-up(0.2) = 0 for positives
+            split_indices(ds.labels, 0.1, seed=0)  # round-half-up(0.2) = 0 for positives
 
     def test_bad_fraction(self, tmp_path):
         ds = toy_dataset(tmp_path)
         for frac in (0.0, 1.0, -0.5):
             with pytest.raises(ParameterError):
-                split(ds, frac, seed=0)
+                split_indices(ds.labels, frac, seed=0)

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 import oracles
 from hmm_ensemble import (
+    EnsembleConfig,
+    EnsembleModel,
     HmmParams,
     ParameterError,
-    hellinger,
-    hmm_distance,
+    Vocabulary,
     similarity_matrix,
     stationary_distribution,
     train_ensemble,
 )
-from hmm_ensemble.diversity import _assignment
+from hmm_ensemble.diversity import _assignment, _hellinger_matrix
 from test_ensemble import small_config, synthetic_dataset
 
 
@@ -99,6 +100,11 @@ class TestStationary:
         assert np.abs(res.dist - [float(x) for x in exact]).max() <= 1e-14
 
 
+def hellinger(p, q):
+    """The similarity matrix's Hellinger distance on one row of each."""
+    return float(_hellinger_matrix(np.array([p], dtype=float), np.array([q], dtype=float))[0, 0])
+
+
 class TestHellinger:
     def test_identity(self):
         assert hellinger([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
@@ -125,20 +131,6 @@ class TestHellinger:
             assert dpq >= 0.0
             assert dpq == pytest.approx(hellinger(q, p), abs=1e-12)
             assert dpq <= hellinger(p, r) + hellinger(r, q) + 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            hellinger([0.5, 0.5], [0.4, 0.3, 0.3])
-
-    def test_invalid_vector(self):
-        with pytest.raises(ParameterError):
-            hellinger([0.5, 0.6], [0.5, 0.5])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ParameterError):
-            hellinger([np.nan, np.nan], [0.5, 0.5])
-        with pytest.raises(ParameterError):
-            hellinger([0.5, 0.5], [np.nan, 0.5])
 
 
 def cost_matrices(elements):
@@ -193,7 +185,7 @@ def oracle_distances(a, b):
     """The distance built from each of the oracle's least-cost matchings."""
     v_a = stationary_distribution(a.A).dist
     v_b = stationary_distribution(b.A).dist
-    cost = np.array([[hellinger(p, q) for q in b.B] for p in a.B])
+    cost = np.array([[oracles.hellinger(p, q) for q in b.B] for p in a.B])
     flip = a.n > b.n  # the smaller model's states go into the larger model's
     _, maps = oracles.brute_assignment(cost.T if flip else cost)
     for m in maps:
@@ -219,6 +211,13 @@ def permute_states(model, perm):
     )
 
 
+def hmm_distance(a, b):
+    """1 - the off-diagonal cell of the similarity matrix of a 1+1 ensemble."""
+    ensemble = EnsembleModel([a], [b], Vocabulary("abcdefgh"[: a.m]),
+                             EnsembleConfig(n_pos_models=1, n_neg_models=1), seeds=[(0, 0)] * 2)
+    return 1.0 - similarity_matrix(ensemble).values[0, 1]
+
+
 class TestHmmDistance:
     def test_self_distance_exactly_zero(self):
         rng = np.random.default_rng(2)
@@ -236,8 +235,8 @@ class TestHmmDistance:
         b = two_state([[0.2, 0.8], [0.9, 0.1]])
         # oracle: best over both possible matchings
         costs = [
-            hellinger(a.B[0], b.B[0]) + hellinger(a.B[1], b.B[1]),
-            hellinger(a.B[0], b.B[1]) + hellinger(a.B[1], b.B[0]),
+            oracles.hellinger(a.B[0], b.B[0]) + oracles.hellinger(a.B[1], b.B[1]),
+            oracles.hellinger(a.B[0], b.B[1]) + oracles.hellinger(a.B[1], b.B[0]),
         ]
         assert min(costs) == 0.0
         assert hmm_distance(a, b) == pytest.approx(0.0, abs=1e-12)
@@ -250,7 +249,8 @@ class TestHmmDistance:
             # uniform stationary makes all weights 1/2: distance is the
             # mean cost of the best of the two matchings
             best = min(
-                np.mean([hellinger(a.B[0], b.B[perm[0]]), hellinger(a.B[1], b.B[perm[1]])])
+                np.mean([oracles.hellinger(a.B[0], b.B[perm[0]]),
+                         oracles.hellinger(a.B[1], b.B[perm[1]])])
                 for perm in itertools.permutations(range(2))
             )
             assert hmm_distance(a, b) == pytest.approx(best, abs=1e-12)
@@ -288,8 +288,9 @@ class TestHmmDistance:
         assert min(abs(got - d) for d in oracle_distances(a, b)) <= 1e-12
 
     def test_vocabulary_mismatch(self):
+        # EnsembleModel holds models of one vocabulary size only
         rng = np.random.default_rng(7)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="vocabulary size"):
             hmm_distance(oracles.random_model(rng, 2, 3), oracles.random_model(rng, 2, 4))
 
 

@@ -394,7 +394,8 @@ class TestScoring:
     def test_composite_in_range(self, trained):
         model, corpus = trained
         for seq in corpus:
-            assert 0 <= score_corpus(model, [seq])[0] <= model.max_score
+            bound = model.config.n_pos_models * model.config.n_neg_models
+            assert 0 <= score_corpus(model, [seq])[0] <= bound
 
     def test_composite_matches_double_loop(self, trained):
         model, corpus = trained
