@@ -32,8 +32,9 @@ from .hmm import (
     Vocabulary,
     _baum_welch_unit,
     _check_sequence,
+    _forward_scaled,
     _length_blocks,
-    forward_batch,
+    _stack,
 )
 from .metrics import _check_inputs, _finite_scores, _tie_groups
 
@@ -312,8 +313,10 @@ def matchup_count(pos_loglik: np.ndarray, neg_loglik: np.ndarray) -> int:
 def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
     """(n_sequences, N+M) matrix of log-likelihoods, positive models first.
 
-    Sequences go in blocks of similar length, so each model scores a whole
-    block in one vectorized forward pass.
+    Sequences go in blocks of similar length, and the models of one state
+    count are stacked, so each block takes one scaled forward pass per
+    state count (``hmm._forward_scaled``). Every cell has the bits of
+    ``log_likelihood`` on that sequence and model alone.
     """
     if len(corpus) == 0:
         raise ParameterError("corpus must be non-empty")
@@ -325,10 +328,14 @@ def log_likelihood_matrix(ensemble: EnsembleModel, corpus) -> np.ndarray:
         except (DataError, ParameterError) as exc:
             raise type(exc)(f"sequence {i}: {exc}") from None
     models = ensemble.models
+    groups = {}
+    for j, model in enumerate(models):
+        groups.setdefault(model.n, []).append(j)
+    stacks = [(cols, _stack([models[j] for j in cols])) for cols in groups.values()]
     out = np.empty((len(checked), len(models)))
     for idx, obs, lengths in _length_blocks(checked):
-        for j, model in enumerate(models):
-            out[idx, j] = forward_batch(model, obs, lengths)
+        for cols, params in stacks:
+            out[np.ix_(idx, cols)] = _forward_scaled(*params, obs, lengths).T
     return out
 
 

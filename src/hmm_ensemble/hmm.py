@@ -1,11 +1,14 @@
 """Discrete-emission hidden Markov models.
 
-Log-space forward likelihood (``forward_batch``, which scoring uses);
-multi-sequence Baum-Welch training on a scaled forward-backward pass
-(Rabiner 1989, Sec. V.A); and generative sampling. Everything here is
-pure with respect to the model: parameters are immutable after
-construction, training returns a new model, and random state is always
-passed in explicitly.
+Forward likelihood (``_forward_scaled`` for stacked models of one state
+count, which scoring uses, and ``forward_batch`` for one model);
+multi-sequence Baum-Welch training on a scaled forward-backward pass; and
+generative sampling. Both recursions are scaled (Rabiner 1989, Sec. V.A).
+Scoring's step uses no BLAS, so each row gets the same bits whatever it is
+scored with; EM keeps BLAS products, which are faster, since its units are
+fixed by the job plan. Everything here is pure with respect to the model:
+parameters are immutable after construction, training returns a new model,
+and random state is always passed in explicitly.
 
 Scoring and training run their recursions over ``_length_blocks``: rows in
 descending length order, cut into blocks whose rows are all longer than
@@ -35,15 +38,9 @@ from .errors import DataError, NumericError, ParameterError, check_int, check_re
 # A token sequence is a 1-D integer array of token ids in [0, m).
 TokenSequence = np.ndarray
 
-
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, tolerating -inf entries."""
-    amax = np.max(a, axis=axis, keepdims=True)
-    # Rows that are entirely -inf must come out as -inf, not nan.
-    safe = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - safe), axis=axis))
-    return out + np.squeeze(safe, axis=axis)
+# A step of ``_forward_scaled`` holds at most this many J x rows x n cells
+# per array (2 MB of float64), whatever the corpus and ensemble size.
+FORWARD_CELLS = 2**18
 
 
 class Vocabulary:
@@ -195,24 +192,15 @@ def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray
 
     ``lengths`` gives each row's own length, in non-increasing order; ids
     past a row's end are padding and are never read. Without it every row
-    is T long.
+    is T long. This is the one-model case of ``_forward_scaled``.
     """
     if lengths is None:
         lengths = np.full(obs.shape[0], obs.shape[1])
-    with np.errstate(divide="ignore"):
-        log_pi, log_A, log_Bt = np.log(model.pi), np.log(model.A), np.log(model.B.T)
-    alpha = log_pi[None, :] + log_Bt[obs[:, 0]]
-    for k, t0, t1 in _live_runs(lengths):
-        a, o = alpha[:k], obs[:k]
-        for t in range(t0, t1):
-            a = logsumexp(a[:, :, None] + log_A[None, :, :], axis=1)
-            a += log_Bt[o[:, t]]
-        alpha[:k] = a
-    return logsumexp(alpha, axis=1)
+    return _forward_scaled(*_stack([model]), obs, lengths)[0]
 
 
 def log_likelihood(model: HmmParams, seq) -> float:
-    """ln p(sequence | model) by the forward recursion in log space."""
+    """ln p(sequence | model) by the scaled forward recursion."""
     seq = _check_sequence(seq, model.m)
     return float(forward_batch(model, seq[None, :])[0])
 
@@ -263,6 +251,47 @@ def _live_runs(lengths) -> list[tuple[int, int, int]]:
 def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pi, A, B) of J models with one state count, stacked on a leading job axis."""
     return tuple(np.stack([getattr(p, name) for p in models]) for name in ("pi", "A", "B"))
+
+
+def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
+    """(J, S) log-likelihoods of the S rows of ``obs`` under J stacked models.
+
+    ``pi``, ``A`` and ``B`` are the stacked parameters of ``_stack``;
+    ``obs`` and ``lengths`` are as for ``forward_batch``. Scaled forward
+    recursion (Rabiner 1989, Sec. V.A): a <- (a A) * B[:, o_t], then
+    c = sum(a), a /= c and ln p += ln c. A row with a c of 0 is impossible
+    and gets -inf. Rows go in chunks of at most ``FORWARD_CELLS`` J x rows x
+    n cells per step.
+
+    a A is n multiply-adds over the source states in a fixed order, not a
+    matrix product: BLAS picks its kernel by the operand shapes, so a row's
+    bits would depend on the rows scored with it. Elementwise steps give
+    each row the bits it gets alone.
+    """
+    J, n = pi.shape
+    Bt = np.ascontiguousarray(B.transpose(0, 2, 1))  # J x m x n: one emission row per id
+    out = np.empty((J, obs.shape[0]))
+    step = max(1, FORWARD_CELLS // (J * n))
+    with np.errstate(divide="ignore"):  # ln 0 = -inf for an impossible row
+        for r0 in range(0, obs.shape[0], step):
+            o, lens = obs[r0 : r0 + step], lengths[r0 : r0 + step]
+            a = pi[:, None, :] * Bt[:, o[:, 0]]
+            c = a.sum(axis=-1)
+            a /= np.where(c > 0, c, 1.0)[..., None]
+            ll = np.log(c)
+            for k, t0, t1 in _live_runs(lens):
+                a, lk = a[:, :k], ll[:, :k]
+                for t in range(t0, t1):
+                    nxt = a[..., 0, None] * A[:, None, 0]
+                    for i in range(1, n):
+                        nxt += a[..., i, None] * A[:, None, i]
+                    nxt *= Bt[:, o[:k, t]]
+                    c = nxt.sum(axis=-1)
+                    nxt /= np.where(c > 0, c, 1.0)[..., None]
+                    lk += np.log(c)
+                    a = nxt
+            out[:, r0 : r0 + step] = ll
+    return out
 
 
 def _job_blocks(job_sequences, n_symbols: int) -> list:

@@ -25,7 +25,7 @@ from hmm_ensemble import (
 )
 from hmm_ensemble import hmm as hmm_mod
 from hmm_ensemble.ensemble import UNIT_TOKENS
-from hmm_ensemble.hmm import _e_step, _job_blocks, _length_blocks, _stack, forward_batch, logsumexp
+from hmm_ensemble.hmm import _e_step, _job_blocks, _length_blocks, _stack, forward_batch
 
 
 TWO_STATE = HmmParams(
@@ -101,20 +101,6 @@ class TestInitRandom:
                 init_random(n, m, np.random.default_rng(0))
 
 
-class TestLogsumexp:
-    def test_all_neg_inf_rows(self):
-        arr = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
-        out = logsumexp(arr, axis=1)
-        assert out[0] == -np.inf
-        assert out[1] == 0.0
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(1)
-        arr = rng.normal(size=(5, 7))
-        expect = np.log(np.exp(arr).sum(axis=1))
-        assert np.allclose(logsumexp(arr, axis=1), expect, rtol=1e-12)
-
-
 class TestLogLikelihood:
     def test_single_state_product_of_emissions(self):
         model = HmmParams(pi=[1.0], A=[[1.0]], B=[[0.5, 0.5]])
@@ -150,6 +136,20 @@ class TestLogLikelihood:
         seqs = oracles.enumerate_tuples(2, 6)
         total = sum(np.exp(log_likelihood(model, s)) for s in seqs)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_forward_memory_is_per_step_not_per_transition(self):
+        # 80 rows x 20 steps at n = 300: a step holds 80 x 300 cells (0.2 MB),
+        # where an S x n x n step would hold 58 MB
+        rng = np.random.default_rng(0)
+        model = init_random(300, 4, rng)
+        obs = rng.integers(0, 4, size=(80, 20))
+        tracemalloc.start()
+        try:
+            forward_batch(model, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_out_of_range_token(self):
         with pytest.raises(DataError):
@@ -328,7 +328,7 @@ class TestEStepProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_model_and_corpus())
-    def test_total_matches_log_space_forward(self, case):
+    def test_total_matches_scaled_forward(self, case):
         model, seqs = case
         _, total = e_step(model, seqs)
         want = sum(
@@ -364,6 +364,16 @@ class TestEStepProperties:
             baum_welch([np.array([0, 1])], 2, 1, TrainConfig(floor=0.0), np.random.default_rng(0))
 
 
+def _sparse_model(rng, n, m):
+    """A random n-state model where about half of the entries are exactly 0."""
+    def rows(k, width):
+        x = rng.random((k, width)) * (rng.random((k, width)) > 0.5)
+        x[np.arange(k), rng.integers(0, width, size=k)] += 0.05  # no zero row
+        return x / x.sum(axis=1, keepdims=True)
+
+    return HmmParams(pi=rows(1, n)[0], A=rows(n, n), B=rows(n, m))
+
+
 @st.composite
 def sparse_models_and_mixed_corpus(draw):
     """Two models with n <= 3, m in {2, 3} and zero entries, plus 1-8 sequences of lengths 1-9."""
@@ -397,6 +407,28 @@ class TestLengthBlocks:
                 assert ll[i, j] == alone  # -inf included
                 want = oracles.brute_likelihood(model, seq)
                 assert math.exp(alone) == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("cells", [None, 30])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_cells_equal_each_sequence_scored_alone_at_five_states(
+        self, seed, cells, monkeypatch
+    ):
+        # Two 5-state models share each step, and with 30 cells a step holds
+        # 10, 7 or 3 rows, so chunks of one row occur. A matrix product in the
+        # step would give such rows other bits than a row scored alone.
+        if cells is not None:
+            monkeypatch.setattr(hmm_mod, "FORWARD_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        m = 4
+        models = [_sparse_model(rng, n, m) for n in (3, 4, 5, 5)]
+        ensemble = EnsembleModel(
+            models[:2], models[2:], Vocabulary("abcd"),
+            EnsembleConfig(n_pos_models=2, n_neg_models=2), seeds=[(0, 0)] * 4,
+        )
+        seqs = [rng.integers(0, m, size=rng.integers(1, 31)) for _ in range(rng.integers(2, 41))]
+        ll = log_likelihood_matrix(ensemble, seqs)
+        alone = [[log_likelihood(model, seq) for model in models] for seq in seqs]
+        assert ll.tolist() == alone  # -inf included
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_models_and_mixed_corpus())
