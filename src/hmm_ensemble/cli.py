@@ -259,6 +259,12 @@ def cmd_features(args) -> int:
 def cmd_diversity(args) -> int:
     model, _, cfg_hash, seed = _load_model(args.model)
     sim = similarity_matrix(model)
+    if sim.damped:
+        print(
+            f"diversity: {sim.damped} of {len(sim.labels)} models have a reducible or periodic "
+            "chain; their stationary mass is that of the chain damped toward uniform",
+            file=sys.stderr,
+        )
     path = _out_dir(args) / "similarity.csv"
     header, *rows = sim.to_rows()
     _write_csv(path, header, rows, cfg_hash, seed)

@@ -2,7 +2,10 @@
 
 Everything here works by exhaustive enumeration (paths, sequences, score
 pairs, thresholds) in plain probability space, deliberately sharing no
-code path with the library's dynamic programs.
+code path with the library's dynamic programs. The one exception is
+per_pair_similarity, the similarity matrix computed one pair at a time: it
+calls the library's exact assignment and stationary distribution, and fixes
+the orientation and sum order the batched matrix must reproduce.
 """
 
 import itertools
@@ -165,3 +168,54 @@ def random_model(rng, n, m):
     A = rng.random((n, n))
     B = rng.random((n, m))
     return HmmParams(pi / pi.sum(), A / A.sum(1, keepdims=True), B / B.sum(1, keepdims=True))
+
+
+def _hellinger_matrix(P, Q):
+    """Hellinger distances between every row of P and every row of Q."""
+    diff = np.sqrt(P)[:, None, :] - np.sqrt(Q)[None, :, :]
+    return np.minimum(np.sqrt(np.sum(diff**2, axis=2)) / math.sqrt(2.0), 1.0)
+
+
+def _hmm_distance_weighted(B_a, B_b, v_a, v_b):
+    """Distance in [0, 1]: the smaller model's emission rows are matched into
+    the larger's at least total Hellinger cost, each pair (i, j) weighing
+    (v_a[i] + v_b[j]) / 2 with v the stationary distributions, and each
+    unmatched state adds its own mass at cost 1. Matched terms are summed in
+    ascending state order of a, the unmatched mass in ascending state order."""
+    from hmm_ensemble.diversity import _assignment
+
+    cost = _hellinger_matrix(B_a, B_b)
+    if len(v_a) <= len(v_b):
+        rows = np.arange(len(v_a))
+        cols = np.array(_assignment(cost.tolist()))
+        v_big, taken = v_b, cols
+    else:
+        to_a = np.array(_assignment(cost.T.tolist()))
+        rows, cols = np.sort(to_a), np.argsort(to_a)
+        v_big, taken = v_a, rows
+    weights = (v_a[rows] + v_b[cols]) / 2.0
+    total = float(np.sum(weights * cost[rows, cols]))
+    weight_sum = float(weights.sum())
+    unmatched = float(np.delete(v_big, taken).sum())
+    return (total + unmatched) / (weight_sum + unmatched)
+
+
+def per_pair_similarity(ensemble):
+    """The similarity matrix one pair at a time: each pair's own Hellinger
+    cost matrix and exact assignment, with the orientation and sum order
+    the batched similarity_matrix must reproduce bit for bit."""
+    from hmm_ensemble import stationary_distribution
+
+    models = ensemble.models
+    stationary = [stationary_distribution(mod.A).dist for mod in models]
+    k = len(models)
+    values = np.zeros((k, k))
+    for i in range(k):
+        values[i, i] = 1.0
+        for j in range(i + 1, k):
+            sim = 1.0 - _hmm_distance_weighted(
+                models[i].B, models[j].B, stationary[i], stationary[j]
+            )
+            values[i, j] = sim
+            values[j, i] = sim
+    return values

@@ -256,7 +256,28 @@ class TestDiversity:
         assert labels == ["pos_0", "pos_1", "neg_0", "neg_1"]
         for i, line in enumerate(lines[1:]):
             cells = line.split(",")
-            assert float(cells[1 + i]) == pytest.approx(1.0, abs=1e-9)
+            assert float(cells[1 + i]) == 1.0
+
+    def test_damped_chains_are_counted_on_stderr(self, workspace, tmp_path, capsys):
+        _, _, out = workspace
+        payload = json.loads((out / "model.json").read_text())
+        n = payload["negative_models"][1]["n"]
+        payload["negative_models"][1]["A"] = np.eye(n).tolist()
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        runs = {}
+        for name, model in (("healthy", out / "model.json"), ("damped", tmp_path / "model.json")):
+            capsys.readouterr()
+            assert main(["diversity", "--model", str(model), "--out", str(tmp_path / name)]) == 0
+            runs[name] = capsys.readouterr()
+        assert runs["healthy"].err == ""
+        assert runs["damped"].err.splitlines() == [
+            "diversity: 1 of 4 models have a reducible or periodic chain; "
+            "their stationary mass is that of the chain damped toward uniform"
+        ]
+        for name, run in runs.items():
+            path = tmp_path / name / "similarity.csv"
+            assert run.out == f"wrote 4x4 similarity matrix -> {path}\n"
+            assert "damped" not in path.read_text()
 
 
 class TestProvenance:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import timeit
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from hmm_ensemble import (
     HmmParams,
     ParameterError,
     Vocabulary,
+    diversity,
     similarity_matrix,
     stationary_distribution,
     train_ensemble,
 )
-from hmm_ensemble.diversity import _assignment, _hellinger_matrix
+from hmm_ensemble.diversity import _assignment, _hellinger
 from test_ensemble import small_config, synthetic_dataset
 
 
@@ -102,7 +105,7 @@ class TestStationary:
 
 def hellinger(p, q):
     """The similarity matrix's Hellinger distance on one row of each."""
-    return float(_hellinger_matrix(np.array([p], dtype=float), np.array([q], dtype=float))[0, 0])
+    return float(_hellinger(np.sqrt([p]), np.sqrt([q]))[0, 0])
 
 
 class TestHellinger:
@@ -211,11 +214,17 @@ def permute_states(model, perm):
     )
 
 
+def ensemble_of(models, m):
+    """The first half of models as positives, the rest as negatives."""
+    half = len(models) // 2
+    return EnsembleModel(models[:half], models[half:], Vocabulary([f"t{k}" for k in range(m)]),
+                         EnsembleConfig(n_pos_models=half, n_neg_models=len(models) - half),
+                         seeds=[(0, 0)] * len(models))
+
+
 def hmm_distance(a, b):
     """1 - the off-diagonal cell of the similarity matrix of a 1+1 ensemble."""
-    ensemble = EnsembleModel([a], [b], Vocabulary("abcdefgh"[: a.m]),
-                             EnsembleConfig(n_pos_models=1, n_neg_models=1), seeds=[(0, 0)] * 2)
-    return 1.0 - similarity_matrix(ensemble).values[0, 1]
+    return 1.0 - similarity_matrix(ensemble_of([a, b], a.m)).values[0, 1]
 
 
 class TestHmmDistance:
@@ -303,7 +312,8 @@ class TestSimilarityMatrix:
         sim = similarity_matrix(model)
         assert sim.labels == ["pos_0", "neg_0"]
         assert sim.values.shape == (2, 2)
-        assert np.allclose(np.diag(sim.values), 1.0, atol=1e-9)
+        assert np.all(np.diag(sim.values) == 1.0)
+        assert sim.values[0, 1] == sim.values[1, 0]
 
     def test_duplicate_models_show_unit_similarity(self):
         ds = synthetic_dataset()
@@ -315,7 +325,8 @@ class TestSimilarityMatrix:
     def test_symmetric_with_entries_in_range(self):
         ds = synthetic_dataset()
         sim = similarity_matrix(train_ensemble(ds, small_config()))
-        assert np.allclose(sim.values, sim.values.T, atol=1e-9)
+        assert np.array_equal(sim.values, sim.values.T)
+        assert np.all(np.diag(sim.values) == 1.0)
         assert np.all(sim.values >= -1e-12) and np.all(sim.values <= 1 + 1e-12)
 
     def test_intra_block_mean(self):
@@ -331,3 +342,87 @@ class TestSimilarityMatrix:
         assert rows[0] == ["model"] + sim.labels
         assert len(rows) == len(sim.labels) + 1
         assert float(rows[1][1]) == 1.0
+
+
+def varied_model(rng, n, m):
+    """A tied_model, often with an identity chain, exact one-hot emission
+    rows or other zero entries."""
+    model = tied_model(rng, n, m)
+    A, B = model.A.copy(), model.B.copy()
+    if rng.random() < 0.3:
+        A = np.eye(n)
+    elif rng.random() < 0.5:
+        A[rng.random((n, n)) < 0.4] = 0.0
+        A[np.arange(n), rng.integers(n, size=n)] += 0.5
+        A /= A.sum(axis=1, keepdims=True)
+    for s in np.flatnonzero(rng.random(n) < 0.2):
+        B[s] = np.eye(m)[rng.integers(m)]
+    if rng.random() < 0.3:
+        B[rng.random((n, m)) < 0.3] = 0.0
+        B[np.arange(n), rng.integers(m, size=n)] += 0.5
+        B /= B.sum(axis=1, keepdims=True)
+    return HmmParams(model.pi, A, B)
+
+
+class TestBatchedSimilarity:
+    @pytest.mark.parametrize("m", [2, 5, 9, 17, 130])
+    def test_cells_equal_the_per_pair_loop(self, m, monkeypatch):
+        # Every class (n_i, n_j) of n = 1..7 in both orders; n = 7 classes
+        # with more maps than MAP_LIMIT and tied pairs take the exact
+        # assignment, the rest the enumeration, and every cell is bit-equal.
+        exact = {"tie": 0, "large": 0}
+
+        def counted(cost):
+            r, c = len(cost), len(cost[0])
+            exact["large" if math.perm(c, r) > diversity.MAP_LIMIT else "tie"] += 1
+            return _assignment(cost)
+
+        rng = np.random.default_rng(m)
+        pairs = 0
+        for _ in range(4):
+            counts = rng.permutation(np.repeat(np.arange(1, 8), 3))
+            models = [varied_model(rng, int(n), m) for n in counts]
+            models.append(models[int(rng.integers(len(models)))])  # an all-zero cost
+            ensemble = ensemble_of(models, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(diversity, "_assignment", counted)
+                got = similarity_matrix(ensemble).values
+            assert np.array_equal(got, oracles.per_pair_similarity(ensemble))
+            pairs += len(models) * (len(models) - 1) // 2
+        assert exact["tie"] > 0 and exact["large"] > 0
+        assert exact["tie"] + exact["large"] < pairs
+
+    @pytest.mark.parametrize("cells", [1, 7, 500])
+    def test_chunk_size_leaves_cells_unchanged(self, cells, monkeypatch):
+        rng = np.random.default_rng(11)
+        ensemble = ensemble_of([varied_model(rng, int(n), 5) for n in rng.integers(1, 7, 24)], 5)
+        want = similarity_matrix(ensemble).values
+        monkeypatch.setattr(diversity, "SIMILARITY_CELLS", cells)
+        assert np.array_equal(similarity_matrix(ensemble).values, want)
+
+    def test_counts_damped_chains(self):
+        rng = np.random.default_rng(12)
+        models = [oracles.random_model(rng, 3, 4) for _ in range(6)]
+        assert similarity_matrix(ensemble_of(models, 4)).damped == 0
+        models[1] = HmmParams(models[1].pi, np.eye(3), models[1].B)
+        models[4] = HmmParams(models[4].pi, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], models[4].B)
+        assert similarity_matrix(ensemble_of(models, 4)).damped == 2
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # 300 five-state models: 44,850 pairs of 120 maps each. Unchunked,
+        # the map totals alone take 43 MB; a chunk's arrays take 1 MB each,
+        # next to the 0.7 MB matrix and its 0.7 MB of pair indices.
+        rng = np.random.default_rng(13)
+        ensemble = ensemble_of([oracles.random_model(rng, 5, 4) for _ in range(300)], 4)
+
+        def peak_mb():
+            tracemalloc.start()
+            try:
+                similarity_matrix(ensemble)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb() < 8.0
+        monkeypatch.setattr(diversity, "SIMILARITY_CELLS", 2**40)
+        assert peak_mb() > 8.0
