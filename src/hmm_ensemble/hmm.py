@@ -6,9 +6,12 @@ multi-sequence Baum-Welch training on a scaled forward-backward pass; and
 generative sampling. Both recursions are scaled (Rabiner 1989, Sec. V.A).
 Scoring's step uses no BLAS, so each row gets the same bits whatever it is
 scored with; EM keeps BLAS products, which are faster, since its units are
-fixed by the job plan. Everything here is pure with respect to the model:
-parameters are immutable after construction, training returns a new model,
-and random state is always passed in explicitly.
+fixed by the job plan. Scoring keeps alpha as J x n x rows (J stacked
+models of n states), so each elementwise op of a step runs numpy's
+innermost loop along the rows, not along 3-5 states. Everything here is
+pure with respect to the model: parameters are immutable after
+construction, training returns a new model, and random state is always
+passed in explicitly.
 
 Scoring and training run their recursions over ``_length_blocks``: rows in
 descending length order, cut into blocks whose rows are all longer than
@@ -38,7 +41,7 @@ from .errors import DataError, NumericError, ParameterError, check_int, check_re
 # A token sequence is a 1-D integer array of token ids in [0, m).
 TokenSequence = np.ndarray
 
-# A step of ``_forward_scaled`` holds at most this many J x rows x n cells
+# A step of ``_forward_scaled`` holds at most this many J x n x rows cells
 # per array (2 MB of float64), whatever the corpus and ensemble size.
 FORWARD_CELLS = 2**18
 
@@ -179,12 +182,19 @@ def init_random(n: int, m: int, rng: np.random.Generator) -> HmmParams:
 
 
 def _check_sequence(seq, m: int) -> TokenSequence:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
+    """``seq`` as an int64 id array if it is a non-empty 1-D array of integer
+    ids in [0, m); floats, strings and bools are not ids and raise DataError."""
+    try:
+        arr = np.asarray(seq)
+    except ValueError:  # ragged nesting, which has no array shape
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.shape[0] < 1:
         raise ParameterError("sequence must be a non-empty 1-D array of ids")
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"token ids must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= m:
         raise DataError(f"token id out of range [0, {m})")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray:
@@ -253,6 +263,17 @@ def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.stack([getattr(p, name) for p in models]) for name in ("pi", "A", "B"))
 
 
+def _state_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of J x n x rows ``x`` over its states, one state at a time in
+    ascending order. ``x.sum(axis=1)`` would sum the states of a one-row
+    call pairwise from 8 states on (numpy does so along a contiguous axis),
+    so a row's bits would depend on how many rows share the call."""
+    c = x[:, 0].copy()
+    for i in range(1, x.shape[1]):
+        c += x[:, i]
+    return c
+
+
 def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
     """(J, S) log-likelihoods of the S rows of ``obs`` under J stacked models.
 
@@ -260,8 +281,15 @@ def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
     ``obs`` and ``lengths`` are as for ``forward_batch``. Scaled forward
     recursion (Rabiner 1989, Sec. V.A): a <- (a A) * B[:, o_t], then
     c = sum(a), a /= c and ln p += ln c. A row with a c of 0 is impossible
-    and gets -inf. Rows go in chunks of at most ``FORWARD_CELLS`` J x rows x
-    n cells per step.
+    and gets -inf. Rows go in chunks of at most ``FORWARD_CELLS`` J x n x
+    rows cells per step.
+
+    alpha is laid out J x n x rows, so every op of a step (the multiply-adds,
+    the emission product, the sum over states, the divide) runs numpy's
+    innermost loop along the chunk's contiguous rows rather than along the
+    3-5 states: each call of that loop covers hundreds of numbers, not a
+    few. Both the multiply-adds and the sum over states run in ascending
+    state order, one state at a time.
 
     a A is n multiply-adds over the source states in a fixed order, not a
     matrix product: BLAS picks its kernel by the operand shapes, so a row's
@@ -269,25 +297,24 @@ def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
     each row the bits it gets alone.
     """
     J, n = pi.shape
-    Bt = np.ascontiguousarray(B.transpose(0, 2, 1))  # J x m x n: one emission row per id
     out = np.empty((J, obs.shape[0]))
     step = max(1, FORWARD_CELLS // (J * n))
     with np.errstate(divide="ignore"):  # ln 0 = -inf for an impossible row
         for r0 in range(0, obs.shape[0], step):
             o, lens = obs[r0 : r0 + step], lengths[r0 : r0 + step]
-            a = pi[:, None, :] * Bt[:, o[:, 0]]
-            c = a.sum(axis=-1)
-            a /= np.where(c > 0, c, 1.0)[..., None]
+            a = pi[:, :, None] * np.take(B, o[:, 0], axis=2)
+            c = _state_sum(a)
+            a /= np.where(c > 0, c, 1.0)[:, None, :]
             ll = np.log(c)
             for k, t0, t1 in _live_runs(lens):
-                a, lk = a[:, :k], ll[:, :k]
+                a, lk = a[..., :k], ll[:, :k]
                 for t in range(t0, t1):
-                    nxt = a[..., 0, None] * A[:, None, 0]
+                    nxt = a[:, 0, None, :] * A[:, 0, :, None]
                     for i in range(1, n):
-                        nxt += a[..., i, None] * A[:, None, i]
-                    nxt *= Bt[:, o[:k, t]]
-                    c = nxt.sum(axis=-1)
-                    nxt /= np.where(c > 0, c, 1.0)[..., None]
+                        nxt += a[:, i, None, :] * A[:, i, :, None]
+                    nxt *= np.take(B, o[:k, t], axis=2)
+                    c = _state_sum(nxt)
+                    nxt /= np.where(c > 0, c, 1.0)[:, None, :]
                     lk += np.log(c)
                     a = nxt
             out[:, r0 : r0 + step] = ll

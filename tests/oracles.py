@@ -2,10 +2,14 @@
 
 Everything here works by exhaustive enumeration (paths, sequences, score
 pairs, thresholds) in plain probability space, deliberately sharing no
-code path with the library's dynamic programs. The one exception is
-per_pair_similarity, the similarity matrix computed one pair at a time: it
+code path with the library's dynamic programs. There are two exceptions,
+each a previous kernel of the program kept as a bit-for-bit reference:
+per_pair_similarity, the similarity matrix computed one pair at a time,
 calls the library's exact assignment and stationary distribution, and fixes
-the orientation and sum order the batched matrix must reproduce.
+the orientation and sum order the batched matrix must reproduce;
+rows_last_forward, the stacked scaled forward pass with the states on the
+last axis, calls the library's _live_runs and fixes the sum order of each
+step.
 """
 
 import itertools
@@ -219,3 +223,38 @@ def per_pair_similarity(ensemble):
             values[i, j] = sim
             values[j, i] = sim
     return values
+
+
+def rows_last_forward(pi, A, B, obs, lengths):
+    """The program's previous stacked scaled forward kernel, with alpha laid
+    out J x rows x n: (J, S) log-likelihoods of the S rows of obs under the
+    J stacked models (pi, A, B), each step's multiply-adds running over the
+    source states in ascending order. Its sum over a row's states is numpy's
+    contiguous sum, pairwise from 8 states, so hmm._forward_scaled must give
+    the same bits below 8 states and may differ in the last bit from 8."""
+    from hmm_ensemble.hmm import FORWARD_CELLS, _live_runs
+
+    J, n = pi.shape
+    Bt = np.ascontiguousarray(B.transpose(0, 2, 1))  # J x m x n: one emission row per id
+    out = np.empty((J, obs.shape[0]))
+    step = max(1, FORWARD_CELLS // (J * n))
+    with np.errstate(divide="ignore"):  # ln 0 = -inf for an impossible row
+        for r0 in range(0, obs.shape[0], step):
+            o, lens = obs[r0 : r0 + step], lengths[r0 : r0 + step]
+            a = pi[:, None, :] * Bt[:, o[:, 0]]
+            c = a.sum(axis=-1)
+            a /= np.where(c > 0, c, 1.0)[..., None]
+            ll = np.log(c)
+            for k, t0, t1 in _live_runs(lens):
+                a, lk = a[:, :k], ll[:, :k]
+                for t in range(t0, t1):
+                    nxt = a[..., 0, None] * A[:, None, 0]
+                    for i in range(1, n):
+                        nxt += a[..., i, None] * A[:, None, i]
+                    nxt *= Bt[:, o[:k, t]]
+                    c = nxt.sum(axis=-1)
+                    nxt /= np.where(c > 0, c, 1.0)[..., None]
+                    lk += np.log(c)
+                    a = nxt
+            out[:, r0 : r0 + step] = ll
+    return out

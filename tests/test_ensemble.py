@@ -425,6 +425,22 @@ class TestScoring:
         with pytest.raises(ParameterError):
             score_corpus(model, [])
 
+    @pytest.mark.parametrize(
+        "bad", [[0.9, 1.6], ["1", "0"], [np.nan], [True, False]],
+        ids=["fractions", "numeric-strings", "nan", "bools"],
+    )
+    def test_non_integer_ids_name_the_sequence(self, trained, bad):
+        model, _ = trained
+        with pytest.raises(DataError, match="sequence 1: token ids must be integers"):
+            score_corpus(model, [np.array([0, 1]), np.array(bad)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_narrow_integer_ids_accepted(self, trained, dtype):
+        model, corpus = trained
+        assert score_corpus(model, [seq.astype(dtype) for seq in corpus]) == score_corpus(
+            model, corpus
+        )
+
     def test_feature_vectors_normalized(self, trained):
         model, corpus = trained
         feats = feature_vectors(model, corpus)

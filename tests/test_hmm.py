@@ -155,9 +155,29 @@ class TestLogLikelihood:
         with pytest.raises(DataError):
             log_likelihood(TWO_STATE, [0, 2])
 
+    @pytest.mark.parametrize(
+        "seq", [[0.9, 1.6], [0.0, 1.0], ["1", "0"], [math.nan], [True, False]],
+        ids=["fractions", "whole-floats", "numeric-strings", "nan", "bools"],
+    )
+    def test_non_integer_ids_rejected(self, seq):
+        with pytest.raises(DataError, match="token ids must be integers"):
+            log_likelihood(TWO_STATE, seq)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_narrow_integer_ids_accepted(self, dtype):
+        seq = [0, 1, 1, 0]
+        assert log_likelihood(TWO_STATE, np.array(seq, dtype=dtype)) == log_likelihood(
+            TWO_STATE, seq
+        )
+
     def test_empty_sequence(self):
         with pytest.raises(ParameterError):
             log_likelihood(TWO_STATE, [])
+
+    @pytest.mark.parametrize("seq", [[[0, 1], [1]], [[0, 1], [1, 0]]], ids=["ragged", "2-D"])
+    def test_sequence_must_be_1d(self, seq):
+        with pytest.raises(ParameterError):
+            log_likelihood(TWO_STATE, seq)
 
 
 class TestBaumWelch:
@@ -460,6 +480,70 @@ class TestLengthBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestForwardKernel:
+    @pytest.mark.parametrize(
+        "one_row_chunks", [False, True], ids=["default-chunks", "1-row-chunks"]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64])
+    def test_cells_equal_the_rows_last_kernel_and_each_row_alone(
+        self, n, one_row_chunks, monkeypatch
+    ):
+        # Below 8 states the states-by-rows step runs the old step's operations
+        # in the old order, so every cell has the old bits. From 8 states numpy
+        # summed the old layout's contiguous states pairwise, so a cell may move
+        # in its last bit. At every n a row has the same bits alone as in its
+        # block, which numpy's own sum over the states would break from 8 states.
+        if one_row_chunks:
+            monkeypatch.setattr(hmm_mod, "FORWARD_CELLS", 1)
+        rng = np.random.default_rng(n)
+        m = 4
+        models = [_sparse_model(rng, n, m) for _ in range(3)]
+        # a model that never emits the last token makes every row holding it -inf
+        mute = _sparse_model(rng, n, m).B.copy()
+        mute[:, -1], mute[:, 0] = 0.0, mute[:, 0] + 0.05
+        models.append(HmmParams(models[0].pi, models[0].A, mute / mute.sum(1, keepdims=True)))
+        params = _stack(models)
+        seqs = [rng.integers(0, m, size=rng.integers(1, 41)) for _ in range(30)]
+        impossible = 0
+        for _, obs, lengths in _length_blocks(seqs):
+            got = hmm_mod._forward_scaled(*params, obs, lengths)
+            want = oracles.rows_last_forward(*params, obs, lengths)
+            impossible += int(np.isneginf(want).sum())
+            for row, length in enumerate(lengths):
+                one = slice(row, row + 1)
+                alone = hmm_mod._forward_scaled(*params, obs[one, :length], lengths[one])
+                assert alone[:, 0].tolist() == got[:, row].tolist()
+            if n < 8:
+                assert got.tolist() == want.tolist()  # -inf included
+            else:
+                assert np.array_equal(np.isneginf(got), np.isneginf(want))
+                assert np.all(np.isfinite(want) | np.isneginf(want))
+                finite = np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0)
+        assert impossible > 0
+
+    def test_stacked_call_memory_is_held_by_the_chunking(self, monkeypatch):
+        # 250 five-state models over 2000 rows x 50 steps: the 3.8 MB output and
+        # a few 2 MB step arrays; unchunked, one step array is 250 x 5 x 2000
+        # cells (19 MB)
+        rng = np.random.default_rng(0)
+        params = _stack([init_random(5, 4, rng) for _ in range(250)])
+        obs = rng.integers(0, 4, size=(2000, 50))
+        lengths = np.full(2000, 50)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                hmm_mod._forward_scaled(*params, obs, lengths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 16 * 2**20
+        monkeypatch.setattr(hmm_mod, "FORWARD_CELLS", 2**40)
+        assert peak() > 16 * 2**20
 
 
 @st.composite
