@@ -45,6 +45,9 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.sequences) != self.labels.shape[0]:
             raise DataError("sequence and label counts differ")
+        bad = np.flatnonzero((self.labels != 0) & (self.labels != 1))
+        if bad.size:
+            raise DataError(f"sequence {bad[0]} has label {self.labels[bad[0]]}, not 0 or 1")
         m = self.vocabulary.size
         for i, seq in enumerate(self.sequences):
             if seq.ndim != 1 or seq.shape[0] < 1:
@@ -155,6 +158,9 @@ def split_indices(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     check_real("split fraction", fraction, "(0, 1)")
     seed = check_int("seed", seed, 0)
     labels = np.asarray(labels)
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ParameterError(f"row {bad[0]} has label {labels[bad[0]]}, not 0 or 1")
     rng = np.random.default_rng(seed)
     a_parts, b_parts = [], []
     for label in (0, 1):

@@ -40,19 +40,7 @@ class StationaryResult(NamedTuple):
 
 def _is_primitive(A: np.ndarray) -> bool:
     """Wielandt bound: A is primitive iff bool(A)^((n-1)^2 + 1) is all-ones."""
-    n = A.shape[0]
-    if n == 1:
-        return True
-    base = A > 0
-    exp = (n - 1) ** 2 + 1
-    result = np.eye(n, dtype=bool)
-    power = base
-    while exp:
-        if exp & 1:
-            result = result @ power
-        power = power @ power
-        exp >>= 1
-    return bool(result.all())
+    return bool(np.linalg.matrix_power(A > 0, (A.shape[0] - 1) ** 2 + 1).all())
 
 
 def stationary_distribution(A) -> StationaryResult:

@@ -198,16 +198,31 @@ class EnsembleModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleModel":
+        """The model a ``to_dict`` payload describes. Beyond what the
+        constructor checks, its tokens must be single characters, as the CSV
+        reader reads them, and model k must have the
+        ``state_counts[k % len(state_counts)]`` states ``make_training_jobs``
+        planned for it, positives first."""
         tokens = d["vocabulary"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise DataError("vocabulary must be a list of strings")
-        return cls(
+        if not isinstance(tokens, list) or not all(
+            isinstance(t, str) and len(t) == 1 for t in tokens
+        ):
+            raise DataError("vocabulary must be a list of strings, one character each")
+        model = cls(
             positive_models=[HmmParams.from_dict(p) for p in d["positive_models"]],
             negative_models=[HmmParams.from_dict(p) for p in d["negative_models"]],
             vocabulary=Vocabulary(tokens),
             config=EnsembleConfig.from_dict(d["config"]),
             seeds=[(check_int("seed", a, 0), check_int("seed", b, 0)) for a, b in d["seeds"]],
         )
+        counts = model.config.state_counts
+        for k, p in enumerate(model.models):
+            if p.n != counts[k % len(counts)]:
+                raise DataError(
+                    f"model {k} has {p.n} states, but state_counts plans "
+                    f"{counts[k % len(counts)]}"
+                )
+        return model
 
 
 def _plan_units(dataset: LabeledDataset, jobs: list[TrainingJob]) -> list[list[int]]:

@@ -18,8 +18,8 @@ descending length order, cut into blocks whose rows are all longer than
 half the block's longest. A block is one padded S x T array, so padding at
 most doubles its cells and memory follows the tokens, never the row count
 times the longest row; a corpus of many lengths takes a few recursions
-instead of one per length. In scoring, step t advances only the rows longer
-than t.
+instead of one per length. Scoring counts once per row chunk the rows
+longer than each t, a prefix of the chunk, and step t advances just those.
 
 Training has one EM path, ``_baum_welch_unit``: the jobs of one state
 count run in lockstep, each block laid out as T x J x R (J jobs, up to R
@@ -197,16 +197,10 @@ def _check_sequence(seq, m: int) -> TokenSequence:
     return arr.astype(np.int64, copy=False)
 
 
-def forward_batch(model: HmmParams, obs: np.ndarray, lengths=None) -> np.ndarray:
-    """Log-likelihood of each row of ``obs`` (an S x T id array).
-
-    ``lengths`` gives each row's own length, in non-increasing order; ids
-    past a row's end are padding and are never read. Without it every row
-    is T long. This is the one-model case of ``_forward_scaled``.
-    """
-    if lengths is None:
-        lengths = np.full(obs.shape[0], obs.shape[1])
-    return _forward_scaled(*_stack([model]), obs, lengths)[0]
+def forward_batch(model: HmmParams, obs: np.ndarray) -> np.ndarray:
+    """Log-likelihood of each row of ``obs`` (an S x T id array), every row
+    T long. This is the one-model case of ``_forward_scaled``."""
+    return _forward_scaled(*_stack([model]), obs, np.full(obs.shape[0], obs.shape[1]))[0]
 
 
 def log_likelihood(model: HmmParams, seq) -> float:
@@ -242,22 +236,6 @@ def _length_blocks(
     return blocks
 
 
-def _live_runs(lengths) -> list[tuple[int, int, int]]:
-    """(k, t0, t1): steps t0..t1-1 advance only the first k rows.
-
-    Those are the rows longer than t, given rows in non-increasing length
-    order. One run covers every step of a single-length block.
-    """
-    last = np.flatnonzero(np.diff(lengths)).tolist() + [len(lengths) - 1]
-    runs, t0 = [], 1
-    for i in reversed(last):  # the last row of each length, shortest first
-        t1 = int(lengths[i])
-        if t1 > t0:
-            runs.append((i + 1, t0, t1))
-            t0 = t1
-    return runs
-
-
 def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pi, A, B) of J models with one state count, stacked on a leading job axis."""
     return tuple(np.stack([getattr(p, name) for p in models]) for name in ("pi", "A", "B"))
@@ -278,11 +256,14 @@ def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
     """(J, S) log-likelihoods of the S rows of ``obs`` under J stacked models.
 
     ``pi``, ``A`` and ``B`` are the stacked parameters of ``_stack``;
-    ``obs`` and ``lengths`` are as for ``forward_batch``. Scaled forward
-    recursion (Rabiner 1989, Sec. V.A): a <- (a A) * B[:, o_t], then
-    c = sum(a), a /= c and ln p += ln c. A row with a c of 0 is impossible
-    and gets -inf. Rows go in chunks of at most ``FORWARD_CELLS`` J x n x
-    rows cells per step.
+    ``lengths`` gives each row's length, in non-increasing order, and ids
+    past a row's end are never read. Scaled forward recursion (Rabiner 1989,
+    Sec. V.A): a <- (a A) * B[:, o_t], then c = sum(a), a /= c and
+    ln p += ln c. A row with a c of 0 is impossible and gets -inf. Rows go
+    in chunks of at most ``FORWARD_CELLS`` J x n x rows cells per step.
+    Each chunk counts in one search the k rows longer than each t, a prefix
+    since lengths descend; step t advances those, and a and the row
+    log-likelihoods narrow to them only when k drops.
 
     alpha is laid out J x n x rows, so every op of a step (the multiply-adds,
     the emission product, the sum over states, the divide) runs numpy's
@@ -305,18 +286,19 @@ def _forward_scaled(pi, A, B, obs: np.ndarray, lengths) -> np.ndarray:
             a = pi[:, :, None] * np.take(B, o[:, 0], axis=2)
             c = _state_sum(a)
             a /= np.where(c > 0, c, 1.0)[:, None, :]
-            ll = np.log(c)
-            for k, t0, t1 in _live_runs(lens):
-                a, lk = a[..., :k], ll[:, :k]
-                for t in range(t0, t1):
-                    nxt = a[:, 0, None, :] * A[:, 0, :, None]
-                    for i in range(1, n):
-                        nxt += a[:, i, None, :] * A[:, i, :, None]
-                    nxt *= np.take(B, o[:k, t], axis=2)
-                    c = _state_sum(nxt)
-                    nxt /= np.where(c > 0, c, 1.0)[:, None, :]
-                    lk += np.log(c)
-                    a = nxt
+            ll = lk = np.log(c)
+            live = np.searchsorted(-lens, -np.arange(1, lens[0]), side="left").tolist()
+            for t, k in enumerate(live, 1):
+                if k < a.shape[2]:
+                    a, lk = a[..., :k], ll[:, :k]
+                nxt = a[:, 0, None, :] * A[:, 0, :, None]
+                for i in range(1, n):
+                    nxt += a[:, i, None, :] * A[:, i, :, None]
+                nxt *= np.take(B, o[:k, t], axis=2)
+                c = _state_sum(nxt)
+                nxt /= np.where(c > 0, c, 1.0)[:, None, :]
+                lk += np.log(c)
+                a = nxt
             out[:, r0 : r0 + step] = ll
     return out
 
@@ -442,11 +424,12 @@ def _baum_welch_unit(
 
     Job j trains an ``n_states``-state model on ``job_sequences[j]`` from
     ``init_random`` drawn with ``rngs[j]``; ``config`` gives the EM settings
-    of all jobs. Each iteration runs one ``_e_step`` for the jobs still
-    running and one M-step on their stacked counts. Every job keeps its own
-    stop test, leaves the unit when it stops, and the blocks are rebuilt for
-    the rest. Returns one (model, history) per job, as ``baum_welch`` gives
-    for that job alone up to the order of floating-point sums.
+    of all jobs. The stacked (pi, A, B) hold every job for the whole run:
+    each iteration runs one ``_e_step`` on the live jobs and writes the
+    M-step into those that go on. A job stops by its own test, keeping the
+    parameters it was scored with, and the blocks are rebuilt for the rest.
+    Returns one (model, history) per job, as ``baum_welch`` gives for that
+    job alone up to the order of floating-point sums.
 
     With ``job_ids``, a package error is raised again naming a job: the one
     whose sequences or likelihood failed, or the unit's first job for a
@@ -461,12 +444,11 @@ def _baum_welch_unit(
             if not checked[-1]:
                 raise ParameterError("need at least one training sequence")
         params = _stack([init_random(n_states, n_symbols, rng) for rng in rngs])
-        models: list = [None] * len(checked)
         histories: list[list[float]] = [[] for _ in checked]
         live = np.arange(len(checked))
         blocks = _job_blocks(checked, n_symbols)
         for _ in range(config.max_iters):
-            counts, lls = _e_step(params, blocks)
+            counts, lls = _e_step(tuple(p[live] for p in params), blocks)
             stop = np.zeros(live.size, dtype=bool)
             for i, (job, ll) in enumerate(zip(live.tolist(), lls.tolist())):
                 if not math.isfinite(ll):
@@ -474,17 +456,15 @@ def _baum_welch_unit(
                 history = histories[job]
                 stop[i] = bool(history) and ll - history[-1] < config.tol
                 history.append(ll)
-            for i in np.flatnonzero(stop):  # a stopped job keeps the parameters it was scored with
-                models[live[i]] = HmmParams(*(p[i] for p in params))
-            params = tuple(_floor_normalize(x[~stop], config.floor) for x in counts)
+            # a stopped job keeps the parameters it was scored with
+            for p, x in zip(params, counts):
+                p[live[~stop]] = _floor_normalize(x[~stop], config.floor)
             live = live[~stop]
             if not live.size:
                 break
             if stop.any():
                 blocks = _job_blocks([checked[k] for k in live], n_symbols)
-        for i, job in enumerate(live.tolist()):
-            models[job] = HmmParams(*(p[i] for p in params))
-        return list(zip(models, histories))
+        return [(HmmParams(*(p[j] for p in params)), h) for j, h in enumerate(histories)]
     except (ParameterError, DataError, NumericError) as exc:
         if job_ids is None:
             raise

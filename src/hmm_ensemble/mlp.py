@@ -236,6 +236,9 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
     y = np.asarray(labels, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ParameterError("features and labels must be equal length")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ParameterError(f"feature row {bad[0]} is not finite")
     if not np.all((y == 0) | (y == 1)):
         raise ParameterError("labels must be 0 or 1")
     if np.sum(y == 1) < MIN_PER_CLASS or np.sum(y == 0) < MIN_PER_CLASS:
@@ -257,7 +260,11 @@ def mlp_train(features, labels, config: MlpConfig) -> MlpModel:
 
 def mlp_predict(model: MlpModel, features) -> np.ndarray:
     """Scores in (0, 1); independent of how inputs are batched."""
-    return _sigmoid(model.forward_eval(features))
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ParameterError(f"feature row {bad[0]} is not finite")
+    return _sigmoid(model.forward_eval(x))
 
 
 def gradient_check(model: MlpModel, x, y, step: float = 1e-5) -> float:

@@ -8,8 +8,8 @@ per_pair_similarity, the similarity matrix computed one pair at a time,
 calls the library's exact assignment and stationary distribution, and fixes
 the orientation and sum order the batched matrix must reproduce;
 rows_last_forward, the stacked scaled forward pass with the states on the
-last axis, calls the library's _live_runs and fixes the sum order of each
-step.
+last axis, keeps its own copy of the live-row runs it stepped through and
+fixes the sum order of each step.
 """
 
 import itertools
@@ -143,6 +143,19 @@ def brute_assignment(cost, tol=1e-12):
     return best, [m for m, t in zip(maps, totals) if t <= best + tol]
 
 
+def brute_primitive(A):
+    """Whether some power A^k with k <= n^2 has every entry positive, found by
+    stepping the sets of states each state reaches in exactly k steps."""
+    n = len(A)
+    edges = [[j for j in range(n) if A[i][j] > 0] for i in range(n)]
+    reach = [{i} for i in range(n)]
+    for _ in range(n * n):
+        reach = [{j for s in r for j in edges[s]} for r in reach]
+        if all(len(r) == n for r in reach):
+            return True
+    return False
+
+
 def brute_stationary(A):
     """Exact stationary distribution of a chain with a unique one, as Fractions.
 
@@ -225,6 +238,22 @@ def per_pair_similarity(ensemble):
     return values
 
 
+def _live_runs(lengths):
+    """(k, t0, t1): steps t0..t1-1 advance only the first k rows.
+
+    Those are the rows longer than t, given rows in non-increasing length
+    order. One run covers every step of a single-length block.
+    """
+    last = np.flatnonzero(np.diff(lengths)).tolist() + [len(lengths) - 1]
+    runs, t0 = [], 1
+    for i in reversed(last):  # the last row of each length, shortest first
+        t1 = int(lengths[i])
+        if t1 > t0:
+            runs.append((i + 1, t0, t1))
+            t0 = t1
+    return runs
+
+
 def rows_last_forward(pi, A, B, obs, lengths):
     """The program's previous stacked scaled forward kernel, with alpha laid
     out J x rows x n: (J, S) log-likelihoods of the S rows of obs under the
@@ -232,7 +261,7 @@ def rows_last_forward(pi, A, B, obs, lengths):
     source states in ascending order. Its sum over a row's states is numpy's
     contiguous sum, pairwise from 8 states, so hmm._forward_scaled must give
     the same bits below 8 states and may differ in the last bit from 8."""
-    from hmm_ensemble.hmm import FORWARD_CELLS, _live_runs
+    from hmm_ensemble.hmm import FORWARD_CELLS
 
     J, n = pi.shape
     Bt = np.ascontiguousarray(B.transpose(0, 2, 1))  # J x m x n: one emission row per id

@@ -143,6 +143,27 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert "vocabulary must be a list of strings" in err and "Traceback" not in err
 
+    def test_multi_character_token_exits_3(self, trained, tmp_path, capsys):
+        # generate would write "bc" and "" into sequences that train reads back as other tokens
+        _, model = trained
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["vocabulary"] = ["", "bc", "c"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["generate", "--model", str(bad), "--label", "1", "--count", "2",
+                     "--length", "6", "--out", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert "one character each" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("counts", [[5, 9], [3, 2], [2]])
+    def test_state_counts_contradicting_models_exit_3(self, trained, tmp_path, capsys, counts):
+        # the models were trained with state_counts 2, 3: model k has 2 + k % 2 states
+        assert score_edited(trained, tmp_path, lambda p: p["config"].update(state_counts=counts)) == 3
+        err = capsys.readouterr().err
+        assert "invalid model" in err and "states" in err and "Traceback" not in err
+        assert not (tmp_path / "s" / "scores.csv").exists()
+
     @pytest.mark.parametrize("provenance", [5, {"dataset": 5}])
     def test_provenance_not_an_object_exits_3(self, trained, tmp_path, capsys, provenance):
         assert score_edited(trained, tmp_path, lambda p: p.update(provenance=provenance)) == 3

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hmm_ensemble import DataError, ParameterError, load_csv, subsample_imbalance
+from hmm_ensemble import (
+    DataError,
+    LabeledDataset,
+    ParameterError,
+    Provenance,
+    Vocabulary,
+    load_csv,
+    subsample_imbalance,
+)
 from hmm_ensemble.data import split_indices
 
 
@@ -152,3 +160,17 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.5):
             with pytest.raises(ParameterError):
                 split_indices(ds.labels, frac, seed=0)
+
+
+class TestLabels:
+    # rows 2, 5 and 8 are neither class, and planning and splitting would drop them unseen
+    LABELS = [0, 1, 2, 0, 1, 2, 0, 1, 7, 0, 1, 0]
+
+    def test_dataset_rejects_label_outside_0_1(self):
+        with pytest.raises(DataError, match="sequence 2 has label 2"):
+            LabeledDataset([np.array([0, 1])] * 12, self.LABELS, Vocabulary(["a", "b"]),
+                           Provenance(source="rows"))
+
+    def test_split_rejects_label_outside_0_1(self):
+        with pytest.raises(ParameterError, match="row 2 has label 2"):
+            split_indices(self.LABELS, 0.5, 0)

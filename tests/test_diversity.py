@@ -82,6 +82,16 @@ class TestStationary:
         assert np.abs(res.dist - [2 / 3, 1 / 3]).max() <= 1e-12
         assert min(timeit.repeat(lambda: stationary_distribution(A), number=1, repeat=3)) < 5e-3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_degenerate_iff_not_primitive(self, weights):
+        W = np.array(weights, dtype=float)
+        n = W.shape[0]
+        W[np.arange(n), np.arange(n)] += W.sum(axis=1) == 0  # every row needs some mass
+        A = W / W.sum(axis=1, keepdims=True)
+        assert stationary_distribution(A).degenerate == (not oracles.brute_primitive(A))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
         st.lists(st.one_of(st.just(0), st.integers(1, 1000), st.integers(1, 2**40 // 5)),

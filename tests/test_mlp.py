@@ -105,6 +105,14 @@ class TestTraining:
         with pytest.raises(ParameterError, match="0 or 1"):
             mlp_train(x, y, MlpConfig())
 
+    def test_non_finite_feature_rejected(self):
+        # one NaN feature would train a model with NaN parameters
+        x, y = separable_toy(n=20)
+        x[7, 1] = np.nan
+        x[9, 0] = np.inf
+        with pytest.raises(ParameterError, match="feature row 7 is not finite"):
+            mlp_train(x, y, MlpConfig(hidden_dims=(6,), epochs=2, seed=1))
+
     def test_loss_decreases_on_fixed_batch(self):
         x, y = separable_toy(n=32, seed=4)
         model = MlpModel(2, (8,), dropout=0.0, seed=5)
@@ -208,6 +216,18 @@ class TestPredict:
         model = MlpModel(3, (4,), seed=0)
         with pytest.raises(ParameterError):
             mlp_predict(model, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("bad, row", [([(1, np.inf)], 1), ([(3, np.nan)], 3),
+                                          ([(2, np.nan), (1, -np.inf)], 1)])
+    def test_non_finite_feature_rejected(self, bad, row):
+        # ReLU's np.where would score a NaN row as 0.502 and an inf row as 0.0
+        x, y = separable_toy(n=40)
+        model = mlp_train(x, y, MlpConfig(hidden_dims=(6,), epochs=2, seed=1))
+        x = x[:5].copy()
+        for i, value in bad:
+            x[i, 0] = value
+        with pytest.raises(ParameterError, match=f"feature row {row} is not finite"):
+            mlp_predict(model, x)
 
 
 class TestSerialization:
