@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ def cmd_train(args) -> int:
     payload["provenance"] = {
         "config_hash": cfg_hash,
         "master_seed": ens_cfg.master_seed,
-        "dataset": dataset.provenance.to_dict(),
+        "dataset": asdict(dataset.provenance),
     }
     _write_json(out / "model.json", payload)
     _write_json(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, ParameterError, check_int, check_real
-from .hmm import TokenSequence, Vocabulary
+from .hmm import TokenSequence, Vocabulary, _check_sequence
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,6 @@ class Provenance:
     source: str
     seed: int | None = None
     imbalance_ratio: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "seed": self.seed,
-            "imbalance_ratio": self.imbalance_ratio,
-        }
 
 
 @dataclass
@@ -48,12 +41,13 @@ class LabeledDataset:
         bad = np.flatnonzero((self.labels != 0) & (self.labels != 1))
         if bad.size:
             raise DataError(f"sequence {bad[0]} has label {self.labels[bad[0]]}, not 0 or 1")
-        m = self.vocabulary.size
+        checked = []
         for i, seq in enumerate(self.sequences):
-            if seq.ndim != 1 or seq.shape[0] < 1:
-                raise DataError(f"sequence {i} is empty")
-            if seq.min() < 0 or seq.max() >= m:
-                raise DataError(f"sequence {i} has token ids outside [0, {m})")
+            try:
+                checked.append(_check_sequence(seq, self.vocabulary.size))
+            except (DataError, ParameterError) as exc:
+                raise DataError(f"sequence {i}: {exc}") from None
+        self.sequences = checked
 
     def __len__(self) -> int:
         return len(self.sequences)

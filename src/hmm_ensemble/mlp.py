@@ -164,15 +164,6 @@ class MlpModel:
             "running_var": [v.tolist() for v in self.running_var],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpModel":
-        model = cls(d["input_dim"], tuple(d["hidden_dims"]), d["dropout"])
-        for k, spec in d["params"].items():
-            model.params[k] = np.array(spec["data"]).reshape(spec["shape"])
-        model.running_mean = [np.array(v) for v in d["running_mean"]]
-        model.running_var = [np.array(v) for v in d["running_var"]]
-        return model
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)

@@ -174,3 +174,29 @@ class TestLabels:
     def test_split_rejects_label_outside_0_1(self):
         with pytest.raises(ParameterError, match="row 2 has label 2"):
             split_indices(self.LABELS, 0.5, 0)
+
+
+class TestSequenceCheck:
+    # the dataset checks each sequence as scoring and training do, so a bad one
+    # fails here, named by its position, instead of in a training job
+    def dataset(self, sequences):
+        return LabeledDataset(sequences, [0, 1, 0], Vocabulary(["a", "b"]),
+                              Provenance(source="rows"))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([0.0, 1.0, 1.0]), "sequence 1: token ids must be integers, got dtype float64"),
+        (np.array([True, False]), "sequence 1: token ids must be integers, got dtype bool"),
+        (np.array([0, 2]), r"sequence 1: token id out of range \[0, 2\)"),
+        (np.array([-1, 0]), r"sequence 1: token id out of range \[0, 2\)"),
+        (np.array([], dtype=np.int64), "sequence 1: sequence must be a non-empty 1-D array"),
+        (np.zeros((2, 2), dtype=np.int64), "sequence 1: sequence must be a non-empty 1-D array"),
+    ])
+    def test_bad_sequence_named(self, bad, message):
+        with pytest.raises(DataError, match=message):
+            self.dataset([np.array([0, 1]), bad, np.array([1])])
+
+    def test_sequences_stored_as_int64_arrays(self):
+        ds = self.dataset([[0, 1, 1], np.array([1, 0], dtype=np.int32), np.array([1])])
+        for seq, want in zip(ds.sequences, [[0, 1, 1], [1, 0], [1]]):
+            assert isinstance(seq, np.ndarray) and seq.dtype == np.int64
+            assert seq.tolist() == want

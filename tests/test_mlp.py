@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -228,12 +226,3 @@ class TestPredict:
             x[i, 0] = value
         with pytest.raises(ParameterError, match=f"feature row {row} is not finite"):
             mlp_predict(model, x)
-
-
-class TestSerialization:
-    def test_json_roundtrip_preserves_predictions(self):
-        x, y = separable_toy(n=40)
-        model = mlp_train(x, y, MlpConfig(hidden_dims=(6, 3), epochs=2, seed=9))
-        blob = json.dumps(model.to_dict())
-        back = MlpModel.from_dict(json.loads(blob))
-        assert np.array_equal(mlp_predict(back, x), mlp_predict(model, x))
